@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/flow"
 	"repro/internal/js/ast"
@@ -199,7 +200,14 @@ func snippet(src string, span ast.Span) string {
 		return ""
 	}
 	if hi-lo > maxSnippet {
-		return src[lo:lo+maxSnippet] + "…"
+		// Cut on a rune boundary: a split rune would become U+FFFD in any
+		// JSON round trip, so a stored diagnostic would differ from the
+		// scan that produced it.
+		cut := lo + maxSnippet
+		for cut > lo && !utf8.RuneStart(src[cut]) {
+			cut--
+		}
+		return src[lo:cut] + "…"
 	}
 	return src[lo:hi]
 }

@@ -4,11 +4,12 @@ import "repro/internal/js/lexer"
 
 // This file holds the source-text statistics shared between the minification
 // rules here and the hand-picked feature block in internal/features (which
-// delegates to these helpers so both layers agree on the definitions).
+// calls these helpers so both layers agree on the definitions).
 
 // TextStats bundles the whole-source byte statistics several source-level
-// rules share. Context.Stats computes it once per file in a single pass so
-// adding source-level rules never adds source scans.
+// rules and the hand-picked features share. Context.Stats computes it once
+// per file in a single pass so adding source-level rules never adds source
+// scans.
 type TextStats struct {
 	// Lines is the number of lines (at least 1 for non-empty input).
 	Lines int
@@ -62,40 +63,6 @@ func ComputeTextStats(src string) TextStats {
 	return st
 }
 
-// MaxLineLen returns the length in bytes of the longest line of src.
-func MaxLineLen(src string) int {
-	maxLen, cur := 0, 0
-	for i := 0; i < len(src); i++ {
-		if src[i] == '\n' {
-			if cur > maxLen {
-				maxLen = cur
-			}
-			cur = 0
-		} else {
-			cur++
-		}
-	}
-	if cur > maxLen {
-		maxLen = cur
-	}
-	return maxLen
-}
-
-// WhitespaceRatio returns the fraction of src bytes that are whitespace.
-func WhitespaceRatio(src string) float64 {
-	ws := 0
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case ' ', '\t', '\n', '\r':
-			ws++
-		}
-	}
-	if len(src) == 0 {
-		return 0
-	}
-	return float64(ws) / float64(len(src))
-}
-
 // CommentRatio returns the fraction of the file occupied by comment text,
 // capped at 1.
 func CommentRatio(comments []lexer.Comment, totalBytes int) float64 {
@@ -111,26 +78,6 @@ func CommentRatio(comments []lexer.Comment, totalBytes int) float64 {
 		return 1
 	}
 	return r
-}
-
-// CharClassRatios returns the fraction of alphanumeric bytes and the
-// fraction of JSFuck-alphabet bytes ([]()!+) in src.
-func CharClassRatios(src string) (alnum, jsfuck float64) {
-	if len(src) == 0 {
-		return 0, 0
-	}
-	a, j := 0, 0
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
-			a++
-		}
-		switch c {
-		case '[', ']', '(', ')', '!', '+':
-			j++
-		}
-	}
-	return float64(a) / float64(len(src)), float64(j) / float64(len(src))
 }
 
 // LooksEncoded reports percent-encoded, hex-escaped, or unicode-escaped

@@ -62,14 +62,6 @@ type ScanOptions struct {
 	// TriageConfig tunes the triage router; the zero value uses the
 	// documented defaults the false-bypass gate validates.
 	TriageConfig triage.Config
-	// DetachedGraphs opts out of the pooled flow plane: each file's flow
-	// graph is deep-copied into self-contained storage instead of aliasing
-	// the worker's flow.Session. The default (false) is safe for the
-	// pipeline itself — the graph is consumed before the worker moves to
-	// the next file and nothing in FileResult retains it — so this knob
-	// exists for embedders who hook custom rules that stash graph or scope
-	// pointers past the per-file scan.
-	DetachedGraphs bool
 	// VerdictStore, when non-nil, extends the in-memory dedup cache across
 	// process restarts: completed verdicts are persisted to the store keyed
 	// by content hash (salted with the model identity, so a store directory
@@ -338,8 +330,8 @@ func (s *Scanner) StoreStats() (stats store.Stats, ok bool) {
 // feature vector, both detectors, and (under Explain) the indicator rules.
 // acc, when non-nil, receives the per-stage cost breakdown. ps and fs
 // amortize parser, lexer, scope, and flow-graph state across the files this
-// worker scans; the session-backed graph never outlives this call (see
-// ScanOptions.DetachedGraphs for the opt-out).
+// worker scans; the session-backed graph is consumed before this call
+// returns, and nothing in FileResult retains it.
 func (s *Scanner) scanFile(in Input, acc *stageAcc, ps *parser.Session, fs *flow.Session) FileResult {
 	out := FileResult{Path: in.Path, Bytes: len(in.Source)}
 	t := newStageTimer(acc, len(in.Source))
@@ -350,9 +342,6 @@ func (s *Scanner) scanFile(in Input, acc *stageAcc, ps *parser.Session, fs *flow
 		return out
 	}
 	g := s.ext.FlowSession(fs, res)
-	if s.opts.DetachedGraphs {
-		g = g.Detach()
-	}
 	t.tick(stageFlow)
 	var diags []analysis.Diagnostic
 	if s.opts.Explain || s.ext.Options().RuleFeatures {

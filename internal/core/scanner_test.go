@@ -324,33 +324,3 @@ func TestParallelFor(t *testing.T) {
 	}
 	parallelFor(0, 4, func(int) { t.Fatal("fn must not run for n=0") })
 }
-
-// TestDetachedGraphsEquivalent pins the DetachedGraphs opt-out: detaching
-// each file's flow graph from the worker's pooled session must not change
-// any verdict, diagnostic, or stat — it only changes who owns the graph
-// storage.
-func TestDetachedGraphsEquivalent(t *testing.T) {
-	featOpts := features.Options{NGramDims: 256, RuleFeatures: true}
-	pooled := tinyScanner(t, ScanOptions{Workers: 2, Explain: true}, featOpts)
-	detached := tinyScanner(t, ScanOptions{Workers: 2, Explain: true, DetachedGraphs: true}, featOpts)
-	inputs := scanInputs(8)
-	a, aStats := pooled.ScanBatch(inputs)
-	b, bStats := detached.ScanBatch(inputs)
-	if aStats.Transformed != bStats.Transformed || aStats.ParseFailures != bStats.ParseFailures {
-		t.Fatalf("stats diverge: pooled %+v, detached %+v", aStats, bStats)
-	}
-	for i := range a {
-		if a[i].Level1 != b[i].Level1 {
-			t.Fatalf("result %d: level 1 %+v vs %+v", i, a[i].Level1, b[i].Level1)
-		}
-		if (a[i].Level2 == nil) != (b[i].Level2 == nil) {
-			t.Fatalf("result %d: level 2 presence diverges", i)
-		}
-		if a[i].Level2 != nil && !reflect.DeepEqual(*a[i].Level2, *b[i].Level2) {
-			t.Fatalf("result %d: level 2 %+v vs %+v", i, *a[i].Level2, *b[i].Level2)
-		}
-		if !reflect.DeepEqual(a[i].Diagnostics, b[i].Diagnostics) {
-			t.Fatalf("result %d: diagnostics diverge", i)
-		}
-	}
-}

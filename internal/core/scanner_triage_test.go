@@ -4,9 +4,13 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/corpus"
+	"repro/internal/flow"
+	"repro/internal/js/parser"
 	"repro/internal/store"
 	"repro/internal/transform"
 	"repro/internal/triage"
@@ -22,6 +26,7 @@ func TestVerdictCodecRoundTrip(t *testing.T) {
 		{Bytes: 7, Err: errors.New("parse: unexpected token")},
 		{Bytes: 9000, Level1: Level1Result{Regular: 1}, Bypassed: true},
 	}
+	cases = append(cases, FileResult{Bytes: 1, Diagnostics: truncatedSnippetDiagnostics(t)})
 	for i, in := range cases {
 		raw, err := encodeVerdict(in)
 		if err != nil {
@@ -43,6 +48,28 @@ func TestVerdictCodecRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: round trip changed the verdict:\n in  %+v\n out %+v", i, in, out)
 		}
 	}
+}
+
+// truncatedSnippetDiagnostics returns real diagnostics whose snippets are
+// cut at the length cap inside non-ASCII text: a string-array diagnostic over
+// 30 "é…é" elements, where the byte cap falls inside an "é".
+func truncatedSnippetDiagnostics(t *testing.T) []analysis.Diagnostic {
+	t.Helper()
+	src := "var _arr = [" + strings.Repeat(`"é…é", `, 29) + `"é…é"];` +
+		"\nfunction fetch(i) { return _arr[i - 2]; }\nfetch(2); fetch(3);\n"
+	res, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := analysis.Default().Run(&analysis.Context{Src: src, Result: res, Program: res.Program, Graph: flow.Build(res.Program, flow.Options{})})
+	truncated := false
+	for _, d := range diags {
+		truncated = truncated || strings.HasSuffix(d.Snippet, "…")
+	}
+	if !truncated {
+		t.Fatal("no diagnostic snippet was truncated; the case no longer exercises the cut")
+	}
+	return diags
 }
 
 func TestVerdictCodecRejectsMalformed(t *testing.T) {

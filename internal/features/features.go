@@ -8,15 +8,13 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/flow"
 	"repro/internal/js/ast"
-	"repro/internal/js/lexer"
 	"repro/internal/js/parser"
-	"repro/internal/js/walker"
+	"repro/internal/js/scope"
 	"repro/internal/obs"
 )
 
@@ -167,26 +165,18 @@ func (e *Extractor) ExtractFull(src string, res *parser.Result, g *flow.Graph, d
 //
 // This is the hottest loop of the extraction stage, so it is written to not
 // allocate: the pre-order kind stream comes straight from the parser's
-// NodeID-stamping walk (Result.Kinds) when available — zero re-traversal —
-// with a pooled walk as the fallback for hand-built Results. Each window's
+// NodeID-stamping walk (Result.Kinds, pinned to an EachChild pre-order walk
+// by ast.TestStamperKindStream), so there is no re-traversal. Each window's
 // FNV-1a hash is computed by an inlined byte loop over the precomputed
 // per-kind byte table. The bucket assignment is bit-identical to hashing
 // the Type() strings with hash/fnv (each node contributes its type name
 // followed by a 0 separator) — golden_test.go locks this, because every
 // trained model's fingerprint depends on the bucket layout staying
-// byte-stable; the stamper and the fallback walk share ast.EachChild, so
-// the two streams are identical (TestKindStreamMatchesWalk).
+// byte-stable.
 //
 //jslint:hotpath
 func (e *Extractor) ngramFeatures(res *parser.Result, out []float64) {
 	seq := res.Kinds
-	var w *kindWalker
-	if seq == nil {
-		w = kindWalkerPool.Get().(*kindWalker)
-		w.seq = w.seq[:0]
-		w.visitNode(res.Program)
-		seq = w.seq
-	}
 	n := e.opts.ngramLen()
 	total := 0
 	for i := 0; i+n <= len(seq); i++ {
@@ -203,11 +193,6 @@ func (e *Extractor) ngramFeatures(res *parser.Result, out []float64) {
 		for i := range out {
 			out[i] /= float64(total)
 		}
-	}
-	// No defer: the non-panicking hot path returns the buffer by hand to
-	// keep the function allocation-free (a deferred closure would escape).
-	if w != nil {
-		kindWalkerPool.Put(w)
 	}
 }
 
@@ -227,34 +212,6 @@ var kindHashBytes = func() [ast.KindCount][]byte {
 	}
 	return tbl
 }()
-
-// kindWalker accumulates a program's pre-order kind sequence. The visit
-// field holds visitNode as a method value bound once per instance (in the
-// pool's cold New path) so the recursive walk allocates nothing; instances
-// recycle through kindWalkerPool across files within a scan worker, so a
-// warmed pool extracts n-grams with zero allocations per file (asserted by
-// TestNGramFeaturesZeroAlloc and proven construct-by-construct by the jslint
-// hotpath-noalloc analyzer).
-type kindWalker struct {
-	seq   []uint16
-	visit func(ast.Node)
-}
-
-// visitNode records n's interned kind and recurses. The recursive step passes
-// the pre-bound w.visit field, not the visitNode method itself: a method
-// value in argument position would allocate its bound closure on every node.
-//
-//jslint:hotpath
-func (w *kindWalker) visitNode(n ast.Node) {
-	w.seq = append(w.seq, uint16(n.NodeKind()))
-	ast.EachChild(n, w.visit)
-}
-
-var kindWalkerPool = sync.Pool{New: func() any {
-	w := &kindWalker{seq: make([]uint16, 0, 4096)}
-	w.visit = w.visitNode
-	return w
-}}
 
 // ---------------------------------------------------------------------------
 // Hand-picked features
@@ -332,13 +289,22 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 		panic("unknown hand-picked feature " + name)
 	}
 
-	lines := 1 + strings.Count(src, "\n")
+	// One pass over the bytes; an empty source still counts as one line.
+	text := analysis.ComputeTextStats(src)
+	lines, newlines := text.Lines, text.Lines-1
+	if lines == 0 {
+		lines, newlines = 1, 0
+	}
 	bytes := len(src)
 	if bytes == 0 {
 		bytes = 1
 	}
 
-	st := collectStats(prog)
+	var bindings []*scope.Binding
+	if g.Scopes != nil {
+		bindings = g.Scopes.Bindings
+	}
+	st := collectStats(prog, bindings)
 
 	set("ast_depth_per_line", float64(st.depth)/float64(lines))
 	set("ast_breadth_per_line", float64(st.breadth)/float64(lines))
@@ -367,7 +333,7 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 		set("avg_identifier_length", float64(st.identChars)/float64(st.identCount))
 	}
 	set("avg_chars_per_line", capAt(float64(bytes)/float64(lines)/500, 1))
-	set("max_chars_per_line_capped", capAt(maxLineLen(src)/2000, 1))
+	set("max_chars_per_line_capped", capAt(float64(text.MaxLine)/2000, 1))
 	set("prop_ternary", float64(st.ternaryCount)/nodes)
 	if st.memberCount > 0 {
 		set("bracket_member_ratio", float64(st.bracketMember)/float64(st.memberCount))
@@ -375,10 +341,12 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 	if st.arrayCount > 0 {
 		set("avg_array_size", capAt(float64(st.arrayElems)/float64(st.arrayCount)/50, 1))
 	}
-	set("prop_vars_fetched_from_arrays", arrayFetchRatio(g))
-	set("comment_char_ratio", commentRatio(res.Comments, bytes))
-	set("whitespace_ratio", whitespaceRatio(src))
-	set("newline_per_byte", float64(strings.Count(src, "\n"))/float64(bytes))
+	if st.bindings > 0 {
+		set("prop_vars_fetched_from_arrays", float64(st.arrayFetched)/float64(st.bindings))
+	}
+	set("comment_char_ratio", analysis.CommentRatio(res.Comments, bytes))
+	set("whitespace_ratio", text.Whitespace)
+	set("newline_per_byte", float64(newlines)/float64(bytes))
 	if st.stringCount > 0 {
 		set("avg_string_length", capAt(float64(st.stringChars)/float64(st.stringCount)/100, 1))
 	}
@@ -408,9 +376,8 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 	set("data_edges_per_node", float64(len(g.Data))/nodes)
 	set("function_density", float64(st.funcCount)/nodes)
 	set("empty_catch_count", capAt(float64(st.emptyCatch)/4, 1))
-	alnum, jsfuck := charClassRatios(src)
-	set("alnum_char_ratio", alnum)
-	set("jsfuck_char_ratio", jsfuck)
+	set("alnum_char_ratio", text.Alnum)
+	set("jsfuck_char_ratio", text.JSFuck)
 	set("max_expression_nesting", capAt(float64(st.maxExprNesting)/64, 1))
 	set("largest_string_array", capAt(float64(st.largestStrArray)/64, 1))
 	if st.callCount > 0 {
@@ -434,55 +401,4 @@ func capAt(v, limit float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// The source-text statistics below are shared with the static indicator
-// rules; internal/analysis holds the canonical definitions.
-
-func maxLineLen(src string) float64 { return float64(analysis.MaxLineLen(src)) }
-
-func commentRatio(comments []lexer.Comment, bytes int) float64 {
-	return analysis.CommentRatio(comments, bytes)
-}
-
-func whitespaceRatio(src string) float64 { return analysis.WhitespaceRatio(src) }
-
-func charClassRatios(src string) (alnum, jsfuck float64) {
-	return analysis.CharClassRatios(src)
-}
-
-// arrayFetchRatio uses the data flow to estimate the fraction of variables
-// that are fetched from array/dictionary structures: bindings initialized
-// with an array or object literal whose references occur as the object of a
-// computed member access.
-func arrayFetchRatio(g *flow.Graph) float64 {
-	if g.Scopes == nil || len(g.Scopes.Bindings) == 0 {
-		return 0
-	}
-	// Build the set of identifiers appearing as computed-access objects.
-	objects := make(map[*ast.Identifier]bool)
-	walker.Walk(g.Root, func(n ast.Node, _ int) bool {
-		if m, ok := n.(*ast.MemberExpression); ok && m.Computed {
-			if id, ok := m.Object.(*ast.Identifier); ok {
-				objects[id] = true
-			}
-		}
-		return true
-	})
-	fetched, total := 0, 0
-	for _, b := range g.Scopes.Bindings {
-		total++
-		switch b.Init.(type) {
-		case *ast.ArrayExpression, *ast.ObjectExpression:
-		default:
-			continue
-		}
-		for _, ref := range b.Refs {
-			if objects[ref] {
-				fetched++
-				break
-			}
-		}
-	}
-	return float64(fetched) / float64(total)
 }

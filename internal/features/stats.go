@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/js/ast"
+	"repro/internal/js/scope"
 )
 
 // stats aggregates the raw AST counts the hand-picked features are computed
@@ -54,6 +55,12 @@ type stats struct {
 	maxExprNesting  int
 	largestStrArray int
 
+	// bindings counts the flow graph's bindings; arrayFetched counts those
+	// initialized with an array or object literal and referenced as the
+	// object of a computed member access.
+	bindings     int
+	arrayFetched int
+
 	builtins map[string]bool
 }
 
@@ -72,18 +79,23 @@ var builtinNames = map[string]bool{
 }
 
 // statsCollector holds the reusable scratch state of one collectStats run:
-// the seen-identifier set, the per-depth node counts, and the walk cursor.
-// Instances recycle through statsCollectorPool so the per-file cost is one
-// allocation for the returned stats value; the traversal itself runs over
-// ast.EachChild with a visit closure bound once per instance, so it neither
-// builds child slices (as ast.Children would) nor allocates closures per call.
+// the seen-identifier set, the per-depth node counts, the computed-access
+// marks, and the walk cursor. Instances recycle through statsCollectorPool
+// so the per-file cost is one allocation for the returned stats value; the
+// traversal itself runs over ast.EachChild with a visit closure bound once
+// per instance, so it neither builds child slices (as ast.Children would)
+// nor allocates closures per call.
 type statsCollector struct {
 	st          *stats
 	names       map[string]bool
 	levelCounts []int
-	depth       int
-	exprNesting int
-	visit       func(ast.Node)
+	// computedObjects is indexed by NodeID and marks the identifiers that
+	// are the object of a computed member access (x[...]). It is sized to
+	// the tree's NodeCount and all false between runs.
+	computedObjects []bool
+	depth           int
+	exprNesting     int
+	visit           func(ast.Node)
 }
 
 var statsCollectorPool = sync.Pool{New: func() any {
@@ -95,12 +107,22 @@ var statsCollectorPool = sync.Pool{New: func() any {
 	return c
 }}
 
-func collectStats(prog *ast.Program) *stats {
+// collectStats tallies prog in one walk. prog must carry stamped NodeIDs
+// (the parser stamps every tree, and flow stamps any tree it is handed
+// unstamped), and bindings are the flow graph's bindings over that tree: the
+// walk's computed-access marks decide which of them are fetched from arrays,
+// matched by NodeID.
+func collectStats(prog *ast.Program, bindings []*scope.Binding) *stats {
 	c := statsCollectorPool.Get().(*statsCollector)
 	st := &stats{builtins: make(map[string]bool)}
 	c.st = st
 	c.depth = 0
 	c.exprNesting = 0
+	if n := int(prog.NodeCount); cap(c.computedObjects) < n {
+		c.computedObjects = make([]bool, n)
+	} else {
+		c.computedObjects = c.computedObjects[:n]
+	}
 	c.visit(prog)
 
 	st.uniqueIdents = len(c.names)
@@ -109,8 +131,15 @@ func collectStats(prog *ast.Program) *stats {
 			st.breadth = cnt
 		}
 	}
+	st.bindings = len(bindings)
+	for _, b := range bindings {
+		if c.fetchedFromArray(b) {
+			st.arrayFetched++
+		}
+	}
 
 	clear(c.names)
+	clear(c.computedObjects)
 	for i := range c.levelCounts {
 		c.levelCounts[i] = 0
 	}
@@ -118,6 +147,23 @@ func collectStats(prog *ast.Program) *stats {
 	c.st = nil
 	statsCollectorPool.Put(c)
 	return st
+}
+
+// fetchedFromArray reports whether b is initialized with an array or object
+// literal and some reference to it is the object of a computed member
+// access.
+func (c *statsCollector) fetchedFromArray(b *scope.Binding) bool {
+	switch b.Init.(type) {
+	case *ast.ArrayExpression, *ast.ObjectExpression:
+	default:
+		return false
+	}
+	for _, ref := range b.Refs {
+		if c.computedObjects[ref.NodeID()] {
+			return true
+		}
+	}
+	return false
 }
 
 // visitNode tallies one node into the run's stats and recurses through the
@@ -181,10 +227,10 @@ func (c *statsCollector) visitNode(n ast.Node) {
 					st.stringCharHist[v.String[i]]++
 				}
 			}
-			if looksEncoded(v.String) {
+			if analysis.LooksEncoded(v.String) {
 				st.encodedStrings++
 			}
-			if looksBase64(v.String) {
+			if analysis.LooksBase64(v.String) {
 				st.base64Strings++
 			}
 			if v.String == "debugger" {
@@ -226,6 +272,9 @@ func (c *statsCollector) visitNode(n ast.Node) {
 		st.memberCount++
 		if v.Computed {
 			st.bracketMember++
+			if id, ok := v.Object.(*ast.Identifier); ok {
+				c.computedObjects[id.NodeID()] = true
+			}
 		}
 		if id, ok := v.Property.(*ast.Identifier); ok && !v.Computed && id.Name == "constructor" {
 			st.functionCtor++
@@ -290,13 +339,6 @@ func isStringLit(n ast.Node) bool {
 	lit, ok := n.(*ast.Literal)
 	return ok && lit.Kind == ast.LiteralString
 }
-
-// looksEncoded and looksBase64 delegate to the canonical definitions shared
-// with the static indicator rules in internal/analysis.
-
-func looksEncoded(s string) bool { return analysis.LooksEncoded(s) }
-
-func looksBase64(s string) bool { return analysis.LooksBase64(s) }
 
 // identEntropy is the Shannon entropy of the identifier character
 // distribution, normalized to [0, 1].

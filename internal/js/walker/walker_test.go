@@ -56,28 +56,6 @@ func TestWalkSkipsChildren(t *testing.T) {
 	}
 }
 
-func TestCountAndMaxDepth(t *testing.T) {
-	prog := mustParse(t, `var x = 1;`)
-	if c := Count(prog); c != 5 {
-		// Program, VariableDeclaration, VariableDeclarator, Identifier, Literal.
-		t.Fatalf("Count = %d, want 5", c)
-	}
-	if d := MaxDepth(prog); d != 3 {
-		t.Fatalf("MaxDepth = %d, want 3", d)
-	}
-}
-
-func TestCollect(t *testing.T) {
-	prog := mustParse(t, `a(); b(); var x = c();`)
-	calls := Collect(prog, func(n ast.Node) bool {
-		_, ok := n.(*ast.CallExpression)
-		return ok
-	})
-	if len(calls) != 3 {
-		t.Fatalf("collected %d calls", len(calls))
-	}
-}
-
 func TestRewriteReplacesLiterals(t *testing.T) {
 	prog := mustParse(t, `var x = 1 + 2;`)
 	Rewrite(prog, func(n ast.Node) ast.Node {

@@ -16,7 +16,7 @@ import (
 // between the Get and itself. A Put inside a conditional can therefore
 // satisfy a following return — the analyzer trades that imprecision for
 // zero false positives on the deliberate no-defer pattern the hot paths use
-// (a deferred closure would itself allocate; see features.ngramFeatures).
+// (a deferred closure would itself allocate; see features.collectStats).
 var PoolDiscipline = &Analyzer{
 	Name: "pool-discipline",
 	Doc:  "sync.Pool.Get must have a Put reachable on all return paths, and the pooled value must not escape",
@@ -38,7 +38,7 @@ func runPool(pass *Pass) {
 // poolCall is one Get or Put call site on a pool expression.
 type poolCall struct {
 	call     *ast.CallExpr
-	poolExpr string // canonical receiver text, e.g. "kindWalkerPool"
+	poolExpr string // canonical receiver text, e.g. "statsCollectorPool"
 	deferred bool
 	inFunc   ast.Node // nearest enclosing FuncDecl/FuncLit
 }

@@ -146,10 +146,10 @@ func TestNoAlphanumericUsesOnlySixCharacters(t *testing.T) {
 
 func TestDeadCodeInjectionGrowsProgram(t *testing.T) {
 	progBefore, _ := parser.ParseProgram(sample)
-	before := walker.Count(progBefore)
+	before := ast.StampIDs(progBefore)
 	out := applyTechnique(t, DeadCodeInjection, sample)
 	progAfter, _ := parser.ParseProgram(out)
-	if after := walker.Count(progAfter); after <= before {
+	if after := ast.StampIDs(progAfter); after <= before {
 		t.Fatalf("dead code must grow the AST: %d -> %d", before, after)
 	}
 }

@@ -25,6 +25,10 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# perfbench is its own module (replace repro => ../), so ./... above never
+# reaches it; vetting it type-checks the benchmark, bench_test.go included,
+# against the current API.
+(cd perfbench && go vet ./...)
 
 # Project-native static analysis: the five jslint analyzers prove the
 # hot-path/pool/obs/kind/goroutine invariants on every build. The suite is
