@@ -13,6 +13,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -223,12 +224,12 @@ func trainDetector(files []corpus.File, labels []string, labelRow func(*corpus.F
 	}
 	ext := features.NewExtractor(opts.Features)
 	// Feature extraction dominates training time and is independent per
-	// file, so it runs on the same worker pool the batch scanner uses.
+	// file, so it runs on the same parallel loop the batch scanner uses.
 	// Results land at fixed indices, keeping training deterministic.
 	x := make([][]float64, len(files))
 	y := make([][]bool, len(files))
 	extractErrs := make([]error, len(files))
-	parallelFor(len(files), 0, func(i int) {
+	par.For(len(files), 0, func(i int) {
 		vec, err := ext.Extract(files[i].Source)
 		if err != nil {
 			extractErrs[i] = err

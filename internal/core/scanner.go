@@ -4,8 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/js/parser"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/store"
 	"repro/internal/triage"
 )
@@ -21,12 +21,16 @@ import (
 // evaluation classifies the wild set (Section IV, 424k scripts): every file
 // is parsed exactly once, and the resulting AST, flow graph, and indicator
 // diagnostics are shared across the level 1 detector, the level 2 detector,
-// and the -explain output. A worker pool provides the parallelism; results
-// stream back in input order regardless of completion order.
+// and the -explain output. The calling goroutine scans alongside up to
+// Workers-1 helpers; results stream back in input order regardless of
+// completion order.
 
 // ScanOptions configures a Scanner.
 type ScanOptions struct {
-	// Workers is the worker pool size; <= 0 means GOMAXPROCS.
+	// Workers is the number of goroutines that scan one call's inputs, the
+	// calling goroutine included (so 1 scans on the caller alone and
+	// starts no goroutine); <= 0 means GOMAXPROCS. A call never uses more
+	// workers than it has inputs.
 	Workers int
 	// Explain runs the static indicator rules on every file and attaches
 	// the diagnostics to its FileResult. The rules run over the scan's
@@ -71,13 +75,6 @@ type ScanOptions struct {
 	// store's lifecycle; writes are best-effort (a failed append costs a
 	// future rescan, never a wrong answer).
 	VerdictStore *store.Store
-}
-
-func (o ScanOptions) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // Input is one file to classify. Path is carried through to the result
@@ -171,7 +168,8 @@ func (s ScanStats) BytesPerSec() float64 {
 
 // Scanner runs both detectors (and optionally the indicator rules) over
 // batches of files with one parse per file. A Scanner is safe for concurrent
-// use; each ScanBatch/ScanStream call runs its own worker pool.
+// use; each ScanBatch/ScanStream call scans on its calling goroutine plus
+// up to Workers-1 helpers of its own, all gone before the call returns.
 type Scanner struct {
 	l1, l2 *Detector
 	// ext is the shared extractor: both detectors were validated to use the
@@ -362,20 +360,22 @@ func (s *Scanner) scanFile(in Input, acc *stageAcc, ps *parser.Session, fs *flow
 	return out
 }
 
-// ScanStream classifies inputs with the worker pool and calls emit once per
-// input, in input order, as soon as every earlier input has been emitted.
-// emit runs on the calling goroutine. The returned stats cover the whole
-// batch.
+// ScanStream classifies inputs and calls emit once per input, in input
+// order. The calling goroutine scans too: between its own files it emits
+// every result that is ready and whose predecessors have all been emitted,
+// and once no input is left to claim it waits for the other workers and
+// emits the rest. emit runs on the calling goroutine. The returned stats
+// cover the whole batch.
 func (s *Scanner) ScanStream(inputs []Input, emit func(i int, r FileResult)) ScanStats {
 	stats, _ := s.ScanStreamContext(context.Background(), inputs, emit)
 	return stats
 }
 
 // ScanStreamContext is ScanStream with cooperative cancellation. When ctx is
-// cancelled mid-batch, no new work is dispatched, in-flight workers finish
-// their current file and exit (the call does not return until the pool has
-// drained), and emission stops at the first input whose result is not ready —
-// so the emitted partial results are always a contiguous, input-ordered
+// cancelled mid-batch, no worker claims a new input, in-flight files finish
+// (the call does not return until every worker has), and emission stops at
+// the first input whose scan had not finished when ctx was cancelled — so
+// the emitted partial results are always a contiguous, input-ordered
 // prefix. Stats cover only the emitted prefix. The error is ctx.Err() when
 // the scan was cut short, nil otherwise.
 func (s *Scanner) ScanStreamContext(ctx context.Context, inputs []Input, emit func(i int, r FileResult)) (ScanStats, error) {
@@ -386,98 +386,65 @@ func (s *Scanner) ScanStreamContext(ctx context.Context, inputs []Input, emit fu
 		stats.Duration = time.Since(start)
 		return stats, ctx.Err()
 	}
-	workers := s.opts.workers()
-	if workers > n {
-		workers = n
-	}
 
 	var acc *stageAcc
 	if s.opts.StageStats || obs.Enabled() {
 		acc = &stageAcc{}
 	}
-	results := make([]FileResult, n)
-	ready := make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
+	// A slot's result is published by the release store to ready; the
+	// emitter reads it only after an acquire load sees the flag.
+	type slot struct {
+		r     FileResult
+		ready atomic.Bool
 	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One parser session and one flow session per worker: token
-			// buffers, memo tables, lexer state, and the whole scope/flow
-			// storage plane are reused across every file this worker scans.
-			ps := parser.NewSession()
-			fs := flow.NewSession()
-			for i := range work {
-				results[i] = s.scanOne(inputs[i], acc, ps, fs)
-				close(ready[i])
+	slots := make([]slot, n)
+	emitted := 0
+	emitReady := func() {
+		for ; emitted < n && slots[emitted].ready.Load(); emitted++ {
+			r := slots[emitted].r
+			stats.add(r)
+			if emit != nil {
+				emit(emitted, r)
 			}
-		}()
+		}
 	}
 	done := ctx.Done()
-	go func() {
-		defer close(work)
-		for i := range inputs {
-			select {
-			case work <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	var err error
-	for i := range inputs {
+	cancelled := func() bool {
 		select {
-		case <-ready[i]:
+		case <-done:
+			return true
 		default:
-			// Not ready yet: wait, but let cancellation cut the batch short.
-			// The non-blocking check above keeps already-finished results
-			// flowing out even after cancellation, preserving the contiguous
-			// prefix.
-			select {
-			case <-ready[i]:
-			case <-done:
-				err = ctx.Err()
-			}
-		}
-		if err != nil {
-			break
-		}
-		r := results[i]
-		stats.Files++
-		stats.Bytes += int64(r.Bytes)
-		if r.Deduped {
-			stats.Deduped++
-		}
-		if r.Bypassed {
-			stats.Bypassed++
-		}
-		if r.FromStore {
-			stats.StoreHits++
-		}
-		switch {
-		case r.Err != nil:
-			stats.ParseFailures++
-		case r.Level1.IsTransformed():
-			stats.Transformed++
-			if r.Level1.IsMinified() {
-				stats.Minified++
-			}
-			if r.Level1.IsObfuscated() {
-				stats.Obfuscated++
-			}
-		default:
-			stats.Regular++
-		}
-		if emit != nil {
-			emit(i, r)
+			return false
 		}
 	}
-	wg.Wait()
+	claims := par.NewCounter(n)
+	par.Run(par.Size(s.opts.Workers, n), func(w int) {
+		// One parser session and one flow session per worker: token
+		// buffers, memo tables, lexer state, and the whole scope/flow
+		// storage plane are reused across every file this worker scans.
+		ps := parser.NewSession()
+		fs := flow.NewSession()
+		for !cancelled() {
+			i, ok := claims.Claim()
+			if !ok {
+				return
+			}
+			r := s.scanOne(inputs[i], acc, ps, fs)
+			if cancelled() {
+				return // finished after the cancellation: not emitted
+			}
+			slots[i].r = r
+			slots[i].ready.Store(true)
+			if w == 0 {
+				emitReady()
+			}
+		}
+	})
+	emitReady()
+	var err error
+	if emitted < n {
+		err = ctx.Err()
+	}
 	if acc != nil {
 		stats.Stages = acc.stats()
 	}
@@ -485,6 +452,35 @@ func (s *Scanner) ScanStreamContext(ctx context.Context, inputs []Input, emit fu
 	obs.Add("scan.files", int64(stats.Files))
 	obs.Add("scan.bytes", stats.Bytes)
 	return stats, err
+}
+
+// add counts one emitted result.
+func (st *ScanStats) add(r FileResult) {
+	st.Files++
+	st.Bytes += int64(r.Bytes)
+	if r.Deduped {
+		st.Deduped++
+	}
+	if r.Bypassed {
+		st.Bypassed++
+	}
+	if r.FromStore {
+		st.StoreHits++
+	}
+	switch {
+	case r.Err != nil:
+		st.ParseFailures++
+	case r.Level1.IsTransformed():
+		st.Transformed++
+		if r.Level1.IsMinified() {
+			st.Minified++
+		}
+		if r.Level1.IsObfuscated() {
+			st.Obfuscated++
+		}
+	default:
+		st.Regular++
+	}
 }
 
 // ScanBatch classifies inputs and returns one FileResult per input, in input
@@ -502,38 +498,4 @@ func (s *Scanner) ScanBatchContext(ctx context.Context, inputs []Input) ([]FileR
 	out := make([]FileResult, 0, len(inputs))
 	stats, err := s.ScanStreamContext(ctx, inputs, func(i int, r FileResult) { out = append(out, r) })
 	return out, stats, err
-}
-
-// parallelFor runs fn(i) for every i in [0, n) across min(workers, n)
-// goroutines and waits for completion; workers <= 0 means GOMAXPROCS. fn
-// must be safe to call concurrently for distinct i.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }

@@ -26,59 +26,82 @@ func bulkyInputs(n int) []Input {
 	return inputs
 }
 
-// TestScanStreamContextCancel cancels mid-batch and asserts the three
-// properties the batch engine promises: the worker pool drains (no goroutine
-// leak), emission stops early, and the partial results are a contiguous
-// input-ordered prefix.
+// TestScanStreamContextCancel cancels from inside emit and asserts the
+// three properties the batch engine promises: every worker has returned
+// when the call does (no goroutine leak), emission stops early, and the
+// partial results are a contiguous input-ordered prefix. It runs with
+// helpers, on the caller alone (Workers: 1), and on a one-input batch,
+// where the cancel lands after the only result and so cuts nothing short.
 func TestScanStreamContextCancel(t *testing.T) {
-	s := tinyScanner(t, ScanOptions{Workers: 2}, features.Options{NGramDims: 256})
-	inputs := bulkyInputs(200)
+	for _, c := range []struct {
+		name    string
+		workers int
+		inputs  int
+	}{
+		{"workers2", 2, 200},
+		{"workers1", 1, 200},
+		{"oneInput", 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := tinyScanner(t, ScanOptions{Workers: c.workers}, features.Options{NGramDims: 256})
+			inputs := bulkyInputs(c.inputs)
+			cancelAfter := min(3, len(inputs))
+			cutShort := cancelAfter < len(inputs)
 
-	before := runtime.NumGoroutine()
+			before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const cancelAfter = 3
-	var emitted []int
-	var paths []string
-	stats, err := s.ScanStreamContext(ctx, inputs, func(i int, r FileResult) {
-		emitted = append(emitted, i)
-		paths = append(paths, r.Path)
-		if len(emitted) == cancelAfter {
-			cancel()
-		}
-	})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var emitted []int
+			var paths []string
+			stats, err := s.ScanStreamContext(ctx, inputs, func(i int, r FileResult) {
+				emitted = append(emitted, i)
+				paths = append(paths, r.Path)
+				if len(emitted) == cancelAfter {
+					cancel()
+				}
+			})
 
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(emitted) < cancelAfter {
-		t.Fatalf("emitted %d results, want at least %d", len(emitted), cancelAfter)
-	}
-	if len(emitted) == len(inputs) {
-		t.Fatalf("all %d inputs were emitted; cancellation did not cut the batch short", len(inputs))
-	}
-	// Partial results must be the contiguous prefix 0..k-1, in input order.
-	for k, i := range emitted {
-		if i != k {
-			t.Fatalf("emitted[%d] = input %d, want contiguous input-ordered prefix", k, i)
-		}
-		if paths[k] != inputs[i].Path {
-			t.Fatalf("emitted[%d] path = %q, want %q", k, paths[k], inputs[i].Path)
-		}
-	}
-	if stats.Files != len(emitted) {
-		t.Fatalf("stats.Files = %d, want %d (emitted prefix only)", stats.Files, len(emitted))
-	}
+			if cutShort {
+				if err != context.Canceled {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if len(emitted) == len(inputs) {
+					t.Fatalf("all %d inputs were emitted; cancellation did not cut the batch short", len(inputs))
+				}
+			} else if err != nil || len(emitted) != len(inputs) {
+				t.Fatalf("err = %v after %d of %d results, want nil after all (the cancel came after the last result)", err, len(emitted), len(inputs))
+			}
+			if len(emitted) < cancelAfter {
+				t.Fatalf("emitted %d results, want at least %d", len(emitted), cancelAfter)
+			}
+			if c.workers == 1 && len(emitted) != cancelAfter {
+				t.Fatalf("emitted %d results on a one-worker scan, want exactly %d: the caller scans nothing after the cancel", len(emitted), cancelAfter)
+			}
+			// Partial results must be the contiguous prefix 0..k-1, in input order.
+			for k, i := range emitted {
+				if i != k {
+					t.Fatalf("emitted[%d] = input %d, want contiguous input-ordered prefix", k, i)
+				}
+				if paths[k] != inputs[i].Path {
+					t.Fatalf("emitted[%d] path = %q, want %q", k, paths[k], inputs[i].Path)
+				}
+			}
+			if stats.Files != len(emitted) {
+				t.Fatalf("stats.Files = %d, want %d (emitted prefix only)", stats.Files, len(emitted))
+			}
 
-	// Workers must have drained by the time the call returns. Allow the
-	// runtime a moment to retire exiting goroutines before declaring a leak.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutine leak: %d before scan, %d after cancellation", before, after)
+			// Workers must have drained by the time the call returns. Allow
+			// the runtime a moment to retire exiting goroutines before
+			// declaring a leak.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("goroutine leak: %d before scan, %d after cancellation", before, after)
+			}
+		})
 	}
 }
 

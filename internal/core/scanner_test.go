@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -311,16 +313,92 @@ func TestParallelTrainDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelFor covers the pool helper's edge cases.
-func TestParallelFor(t *testing.T) {
-	for _, workers := range []int{0, 1, 4, 100} {
-		hits := make([]int, 37)
-		parallelFor(len(hits), workers, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
+// TestScanStartsNoGoroutineForOneWorker checks that a one-worker scan runs
+// on the calling goroutine: a one-file batch (whatever Workers says) and a
+// Workers: 1 stream start no goroutine, seen from inside emit, which runs
+// between the caller's own files.
+func TestScanStartsNoGoroutineForOneWorker(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		workers int
+		inputs  int
+	}{
+		{"oneFile", 4, 1},
+		{"workers1", 1, 12},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := tinyScanner(t, ScanOptions{Workers: c.workers}, features.Options{NGramDims: 256})
+			before := runtime.NumGoroutine()
+			emitted := 0
+			s.ScanStream(scanInputs(c.inputs), func(i int, r FileResult) {
+				emitted++
+				if got := runtime.NumGoroutine(); got > before {
+					t.Errorf("input %d: %d goroutines inside emit, %d before the call", i, got, before)
+				}
+			})
+			if emitted != c.inputs {
+				t.Fatalf("emitted %d of %d results", emitted, c.inputs)
+			}
+		})
+	}
+}
+
+// TestScanBatchConcurrentCallers makes concurrent ScanBatch calls from four
+// goroutines on one dedup-enabled Scanner, each over the batch in its own
+// rotation so the callers race on the shared cache, and checks every result
+// against a sequential scan with no cache.
+func TestScanBatchConcurrentCallers(t *testing.T) {
+	tr := getTrained(t)
+	rng := rand.New(rand.NewSource(41))
+	files := corpus.RegularSet(16, rng)
+	for _, tech := range []transform.Technique{transform.MinifySimple, transform.StringObfuscation, transform.GlobalArray} {
+		for _, f := range files[:4] {
+			tf, err := corpus.Apply(f, rng, tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, tf)
+		}
+	}
+	inputs := verdictInputs(files)
+	inputs = append(inputs, inputs[:8]...) // repeats within one call
+
+	seq, err := NewScanner(tr.Level1, tr.Level2, ScanOptions{Workers: 1, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := seq.ScanBatch(inputs)
+
+	shared, err := NewScanner(tr.Level1, tr.Level2, ScanOptions{Workers: 2, Explain: true, Dedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 4
+	got := make([][]FileResult, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := c * len(inputs) / callers
+			rotated := append(append([]Input(nil), inputs[k:]...), inputs[:k]...)
+			res, _ := shared.ScanBatch(rotated)
+			got[c] = append(res[len(inputs)-k:], res[:len(inputs)-k]...)
+		}()
+	}
+	wg.Wait()
+	for c, res := range got {
+		if len(res) != len(want) {
+			t.Fatalf("caller %d: %d results, want %d", c, len(res), len(want))
+		}
+		for i := range res {
+			if res[i].Path != want[i].Path || res[i].Bytes != want[i].Bytes {
+				t.Fatalf("caller %d result %d: %s (%d B), want %s (%d B)", c, i, res[i].Path, res[i].Bytes, want[i].Path, want[i].Bytes)
+			}
+			sameVerdict(t, want[i].Path, want[i], res[i])
+			if !reflect.DeepEqual(res[i].Diagnostics, want[i].Diagnostics) {
+				t.Errorf("caller %d: %s: diagnostics differ from the sequential scan", c, want[i].Path)
 			}
 		}
 	}
-	parallelFor(0, 4, func(int) { t.Fatal("fn must not run for n=0") })
 }

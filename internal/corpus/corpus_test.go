@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -118,6 +119,37 @@ func TestTransformPool(t *testing.T) {
 				t.Fatalf("%s does not parse: %v", f.Name, err)
 			}
 		}
+	}
+}
+
+// TestTransformPoolParsesOnTrainingSeeds builds the training and held-out
+// pools exactly as core.Train does for 90 base scripts (random stream seeded
+// with seed+1, 60/40 split) on the seeds where dead code injection once drew
+// a reserved word as an identifier, and parses every file.
+func TestTransformPoolParsesOnTrainingSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transforms 900 files per seed")
+	}
+	for _, seed := range []int64{6, 34, 40, 67, 114} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed + 1))
+			regular := RegularSet(90, rng)
+			cut := len(regular) * 6 / 10
+			for _, bases := range [][]File{regular[:cut], regular[cut:]} {
+				pool, err := TransformPool(bases, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tech := range transform.Techniques {
+					for _, f := range pool[tech] {
+						if _, err := parser.ParseNoTokens(f.Source); err != nil {
+							t.Errorf("%s does not parse: %v", f.Name, err)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

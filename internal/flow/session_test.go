@@ -178,3 +178,38 @@ func TestFlowMetricNamesInManifest(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowStatsRecordedUnderObs checks the counters each Build records while
+// the obs registry is enabled: one graph per build, its edge and binding
+// counts, and a timeout when the data-flow deadline expires.
+func TestFlowStatsRecordedUnderObs(t *testing.T) {
+	reg := obs.NewRegistry()
+	prev := obs.Swap(reg)
+	t.Cleanup(func() { obs.Swap(prev) })
+
+	res := parseT(t, "var a = 1; function f(x) { return x + a; } f(a);")
+	g := NewSession().Build(res.Program, Options{})
+	for name, want := range map[string]int64{
+		"flow.graphs":            1,
+		"flow.walk.fused":        1,
+		"flow.control_edges":     int64(len(g.Control)),
+		"flow.data_edges":        int64(len(g.Data)),
+		"flow.scope.bindings":    int64(len(g.Scopes.Bindings)),
+		"flow.dataflow_timeouts": 0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if len(g.Data) == 0 {
+		t.Fatal("probe program built no data edges")
+	}
+
+	NewSession().Build(res.Program, Options{DataFlowDeadline: time.Nanosecond})
+	if got := reg.Counter("flow.dataflow_timeouts").Value(); got != 1 {
+		t.Errorf("flow.dataflow_timeouts = %d after an expired deadline, want 1", got)
+	}
+	if got := reg.Counter("flow.graphs").Value(); got != 2 {
+		t.Errorf("flow.graphs = %d after two builds, want 2", got)
+	}
+}

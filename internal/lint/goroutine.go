@@ -5,8 +5,9 @@ import (
 	"go/types"
 )
 
-// GoroutineHygiene enforces the worker-pool invariants behind the batch
-// scanner's cancellation machinery (ScanStreamContext's drained pool):
+// GoroutineHygiene enforces the worker invariants behind the batch
+// scanner's cancellation machinery (ScanStreamContext returns only once
+// every worker has):
 //
 //  1. every go statement must be tied to a tracked drain — the spawned body
 //     signals completion through a sync.WaitGroup Done, a channel close, or
@@ -17,12 +18,9 @@ import (
 //  3. in a context-aware function (one with a context.Context parameter),
 //     every channel send must sit in a select with a receive case, so a
 //     cancelled consumer cannot strand the sender forever. This is the
-//     producer-side dual of "worker loops must poll ctx.Done()": the
-//     scanner's workers drain via channel close, which only works when the
-//     feeder's sends are cancellable.
+//     producer-side dual of "worker loops must poll ctx.Done()".
 //
-// Functions without a context parameter (ml's tree trainer, study's
-// parallelFor) may use bare sends: they are fire-and-join pools with no
+// Functions without a context parameter may use bare sends: they have no
 // cancellation contract.
 var GoroutineHygiene = &Analyzer{
 	Name: "goroutine-hygiene",

@@ -2,10 +2,9 @@ package ml
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // ForestOptions configures random-forest training.
@@ -72,32 +71,10 @@ func TrainForest(x [][]float64, y []bool, opts ForestOptions, rng *rand.Rand) *F
 		forest.Trees[i] = TrainTree(x, y, idx, opts.Tree, treeRng)
 	}
 
-	if !opts.Parallel {
-		for i := 0; i < numTrees; i++ {
-			train(i)
-		}
-		return forest
+	workers := 1
+	if opts.Parallel {
+		workers = 0
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > numTrees {
-		workers = numTrees
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				train(i)
-			}
-		}()
-	}
-	for i := 0; i < numTrees; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.For(numTrees, workers, train)
 	return forest
 }

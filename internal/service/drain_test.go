@@ -203,7 +203,7 @@ func TestDrainDeadline(t *testing.T) {
 
 // TestDrainLeavesNoGoroutines runs a full lifecycle — start, traffic, drain —
 // and verifies the goroutine count returns to its pre-server baseline: the
-// worker pool, the scanner's per-job pools, and the HTTP plumbing must all
+// worker pool, the scanner's per-job helpers, and the HTTP plumbing must all
 // retire.
 func TestDrainLeavesNoGoroutines(t *testing.T) {
 	swapObs(t)

@@ -3,12 +3,11 @@ package study
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ml"
+	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -172,7 +171,7 @@ func (r *Runner) RunLevel2Accuracy() (Level2Accuracy, error) {
 // detector alone).
 func (r *Runner) classifyAllLevel2(files []corpus.File) []fileProbs {
 	out := make([]fileProbs, len(files))
-	parallelFor(len(files), func(i int) {
+	par.For(len(files), 0, func(i int) {
 		l2, err := r.Trained.Level2.ClassifyLevel2(files[i].Source)
 		out[i] = fileProbs{file: &files[i], level2: l2, err: err}
 	})
@@ -478,27 +477,6 @@ func (c ChainAblation) Print(w io.Writer) {
 	fmt.Fprintf(w, "  classifier chain     exact %6.2f%%\n", c.ChainExact*100)
 	fmt.Fprintf(w, "  independence assum.  exact %6.2f%%\n", c.IndependentExact*100)
 	fmt.Fprintf(w, "  (paper: the chain performed best for both levels)\n")
-}
-
-// parallelFor runs f(i) for i in [0,n) on all cores.
-func parallelFor(n int, f func(int)) {
-	var wg sync.WaitGroup
-	next := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // ---------------------------------------------------------------------------

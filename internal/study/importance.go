@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/ml"
+	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -42,7 +43,7 @@ func (r *Runner) RunFeatureImportance(topN int) ([]FeatureRanking, error) {
 	ext := r.Trained.Level1.Extractor()
 	x := make([][]float64, len(files))
 	errs := make([]error, len(files))
-	parallelFor(len(files), func(i int) {
+	par.For(len(files), 0, func(i int) {
 		vec, err := ext.Extract(files[i].Source)
 		x[i], errs[i] = vec, err
 	})

@@ -10,13 +10,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -96,44 +95,22 @@ type fileProbs struct {
 }
 
 // classifyAll runs level 1 (and level 2 for files level 1 reports as
-// transformed) over all files with a worker pool.
+// transformed) over all files in parallel.
 func (r *Runner) classifyAll(files []corpus.File) []fileProbs {
 	out := make([]fileProbs, len(files))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f := &files[i]
-				res := fileProbs{file: f}
-				l1, err := r.Trained.Level1.ClassifyLevel1(f.Source)
-				if err != nil {
-					res.err = err
-					out[i] = res
-					continue
-				}
-				res.level1 = l1
-				if l1.IsTransformed() {
-					l2, err := r.Trained.Level2.ClassifyLevel2(f.Source)
-					if err != nil {
-						res.err = err
-						out[i] = res
-						continue
-					}
-					res.level2 = l2
-				}
-				out[i] = res
-			}
-		}()
-	}
-	for i := range files {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.For(len(files), 0, func(i int) {
+		f := &files[i]
+		out[i].file = f
+		l1, err := r.Trained.Level1.ClassifyLevel1(f.Source)
+		if err != nil {
+			out[i].err = err
+			return
+		}
+		out[i].level1 = l1
+		if l1.IsTransformed() {
+			out[i].level2, out[i].err = r.Trained.Level2.ClassifyLevel2(f.Source)
+		}
+	})
 	return out
 }
 

@@ -149,7 +149,7 @@ func deadBranch(rng *rand.Rand, pool []ast.Node) ast.Node {
 // junkFunction builds an uncalled function with plausible-looking junk.
 func junkFunction(rng *rand.Rand) ast.Node {
 	name := fmt.Sprintf("_f%04x", rng.Intn(0x10000))
-	v := randWord(rng, 3)
+	v := randIdent(rng, 3)
 	return &ast.FunctionDeclaration{
 		ID:     ast.NewIdentifier(name),
 		Params: []ast.Node{ast.NewIdentifier(v)},
@@ -174,7 +174,7 @@ func deadLoop(rng *rand.Rand) ast.Node {
 func junkAssignment(rng *rand.Rand) ast.Node {
 	return &ast.ExpressionStatement{Expression: &ast.AssignmentExpression{
 		Operator: "=",
-		Left:     ast.NewIdentifier(randWord(rng, 4)),
+		Left:     ast.NewIdentifier(randIdent(rng, 4)),
 		Right:    ast.NewNumber(float64(rng.Intn(1000))),
 	}}
 }
@@ -186,4 +186,14 @@ func randWord(rng *rand.Rand, n int) string {
 		b[i] = letters[rng.Intn(len(letters))]
 	}
 	return string(b)
+}
+
+// randIdent is randWord redrawn until the word is not reserved, so it can
+// name a binding or an assignment target.
+func randIdent(rng *rand.Rand, n int) string {
+	for {
+		if w := randWord(rng, n); !jsKeywords[w] {
+			return w
+		}
+	}
 }

@@ -46,6 +46,10 @@ echo "jslint clean in $(( $(date +%s) - jslint_start ))s"
 # the pooled zero-alloc extractors feeding the same scan path.
 echo "== go test -race (batch scan + dedup) =="
 go test -race -run 'Scan|Dedup|ParallelTrain' ./internal/core ./cmd/jsdetect
+# The scan's workers share a claim counter and per-slot ready flags with the
+# emitting caller, and concurrent calls share the dedup cache: soak the
+# stream, batch and parallel-loop tests under the race detector ten times.
+go test -race -count=10 -run 'ScanStream|ScanBatch|ParallelFor' ./internal/core ./internal/par
 go test -race -run 'NGram|CollectStats|ExtractFull' ./internal/features
 
 # The scan service is the worker-pool-over-HTTP layer: the soak test compares
