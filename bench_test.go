@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/study"
@@ -469,23 +470,28 @@ func BenchmarkRuleFeaturesAblation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ok, n := 0, 0
+		sc, err := core.NewScanner(tr.Level1, tr.Level2, core.ScanOptions{ForceLevel2: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var files []corpus.File
 		for _, tech := range transform.Techniques {
-			for _, f := range tr.TestPool[tech] {
-				n++
-				res, err := tr.Level2.ClassifyLevel2(f.Source)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, want := range core.EffectiveTechniques(f.Techniques) {
-					if res.Ranked[0].Technique == want {
-						ok++
-						break
-					}
+			files = append(files, tr.TestPool[tech]...)
+		}
+		results, _ := sc.ScanBatch(core.Inputs(files))
+		ok := 0
+		for i, res := range results {
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+			for _, want := range core.EffectiveTechniques(files[i].Techniques) {
+				if res.Level2.Ranked[0].Technique == want {
+					ok++
+					break
 				}
 			}
 		}
-		return float64(ok) / float64(n)
+		return float64(ok) / float64(len(files))
 	}
 	b.ResetTimer()
 	var with, without float64

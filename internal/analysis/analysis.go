@@ -309,7 +309,7 @@ func Analyze(src string) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	g := flow.Build(res.Program, flow.Options{})
+	g := flow.NewSession().Build(res.Program, flow.Options{})
 	return AnalyzeParsed(src, res, g), nil
 }
 

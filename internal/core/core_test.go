@@ -61,16 +61,29 @@ func TestTrainProducesDetectors(t *testing.T) {
 	}
 }
 
+// scanFiles classifies files with tr's detectors through the batch engine;
+// force2 ranks the techniques of every file.
+func scanFiles(t *testing.T, tr *Trained, files []corpus.File, force2 bool) []FileResult {
+	t.Helper()
+	s, err := NewScanner(tr.Level1, tr.Level2, ScanOptions{ForceLevel2: force2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := s.ScanBatch(Inputs(files))
+	for _, r := range out {
+		if r.Err != nil {
+			t.Fatalf("classify %s: %v", r.Path, r.Err)
+		}
+	}
+	return out
+}
+
 func TestLevel1SeparatesClasses(t *testing.T) {
 	tr := getTrained(t)
 
 	regOK := 0
-	for _, f := range tr.TestRegular {
-		res, err := tr.Level1.ClassifyLevel1(f.Source)
-		if err != nil {
-			t.Fatalf("classify %s: %v", f.Name, err)
-		}
-		if !res.IsTransformed() {
+	for _, res := range scanFiles(t, tr, tr.TestRegular, false) {
+		if !res.Level1.IsTransformed() {
 			regOK++
 		}
 	}
@@ -78,43 +91,37 @@ func TestLevel1SeparatesClasses(t *testing.T) {
 		t.Fatalf("regular accuracy = %.3f, want >= 0.85", acc)
 	}
 
-	minOK, minN := 0, 0
+	var minified []corpus.File
 	for _, tech := range []transform.Technique{transform.MinifySimple, transform.MinifyAdvanced} {
-		for _, f := range tr.TestPool[tech] {
-			minN++
-			res, err := tr.Level1.ClassifyLevel1(f.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.IsMinified() {
-				minOK++
-			}
+		minified = append(minified, tr.TestPool[tech]...)
+	}
+	minOK := 0
+	for _, res := range scanFiles(t, tr, minified, false) {
+		if res.Level1.IsMinified() {
+			minOK++
 		}
 	}
-	if acc := float64(minOK) / float64(minN); acc < 0.9 {
+	if acc := float64(minOK) / float64(len(minified)); acc < 0.9 {
 		t.Fatalf("minified accuracy = %.3f, want >= 0.9", acc)
 	}
 }
 
 func TestLevel2RanksCorrectTechniqueFirst(t *testing.T) {
 	tr := getTrained(t)
-	ok, n := 0, 0
+	var files []corpus.File
 	for _, tech := range transform.Techniques {
-		for _, f := range tr.TestPool[tech] {
-			n++
-			res, err := tr.Level2.ClassifyLevel2(f.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, want := range EffectiveTechniques(f.Techniques) {
-				if res.Ranked[0].Technique == want {
-					ok++
-					break
-				}
+		files = append(files, tr.TestPool[tech]...)
+	}
+	ok := 0
+	for i, res := range scanFiles(t, tr, files, true) {
+		for _, want := range EffectiveTechniques(files[i].Techniques) {
+			if res.Level2.Ranked[0].Technique == want {
+				ok++
+				break
 			}
 		}
 	}
-	if acc := float64(ok) / float64(n); acc < 0.8 {
+	if acc := float64(ok) / float64(len(files)); acc < 0.8 {
 		t.Fatalf("level 2 top-1 = %.3f, want >= 0.8", acc)
 	}
 }
@@ -129,15 +136,11 @@ func TestDetectorRoundTripThroughModelFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := tr.TestRegular[0].Source
-	want, err := tr.Level1.Probs(src)
+	x, err := ExtractBatch(loaded.Extractor(), Inputs(tr.TestRegular[:1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Probs(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, got := tr.Level1.ProbsVec(x[0]), loaded.ProbsVec(x[0])
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("prediction changed after save/load: %v vs %v", want, got)

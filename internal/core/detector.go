@@ -13,7 +13,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/features"
 	"repro/internal/ml"
-	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -52,15 +51,6 @@ type Detector struct {
 
 // Labels returns the detector's class names.
 func (d *Detector) Labels() []string { return d.model.Labels() }
-
-// Probs classifies one source file and returns per-class probabilities.
-func (d *Detector) Probs(src string) ([]float64, error) {
-	vec, err := d.extractor.Extract(src)
-	if err != nil {
-		return nil, err
-	}
-	return d.model.PredictProbs(vec), nil
-}
 
 // ProbsVec classifies a pre-extracted feature vector.
 func (d *Detector) ProbsVec(vec features.Vector) []float64 {
@@ -101,15 +91,6 @@ func level1Labels(f *corpus.File) []bool {
 // TrainLevel1 fits the level 1 detector on the given files.
 func TrainLevel1(files []corpus.File, opts Options) (*Detector, error) {
 	return trainDetector(files, Level1Labels, level1Labels, opts)
-}
-
-// ClassifyLevel1 runs the level 1 detector.
-func (d *Detector) ClassifyLevel1(src string) (Level1Result, error) {
-	probs, err := d.Probs(src)
-	if err != nil {
-		return Level1Result{}, err
-	}
-	return level1FromProbs(probs), nil
 }
 
 func level1FromProbs(probs []float64) Level1Result {
@@ -191,15 +172,6 @@ func TrainLevel2(files []corpus.File, opts Options) (*Detector, error) {
 	return trainDetector(files, Level2Labels(), level2Labels, opts)
 }
 
-// ClassifyLevel2 runs the level 2 detector.
-func (d *Detector) ClassifyLevel2(src string) (Level2Result, error) {
-	probs, err := d.Probs(src)
-	if err != nil {
-		return Level2Result{}, err
-	}
-	return Level2FromProbs(probs), nil
-}
-
 // Level2FromProbs converts raw chain probabilities into a ranked result.
 func Level2FromProbs(probs []float64) Level2Result {
 	res := Level2Result{Ranked: make([]TechniquePrediction, len(probs))}
@@ -223,29 +195,19 @@ func trainDetector(files []corpus.File, labels []string, labelRow func(*corpus.F
 		return nil, fmt.Errorf("core: empty training set")
 	}
 	ext := features.NewExtractor(opts.Features)
-	// Feature extraction dominates training time and is independent per
-	// file, so it runs on the same parallel loop the batch scanner uses.
-	// Results land at fixed indices, keeping training deterministic.
-	x := make([][]float64, len(files))
+	// Feature extraction dominates training time; ExtractBatch runs it on
+	// the scan's per-file pipeline, with rows at fixed indices, so training
+	// stays deterministic.
+	x, err := ExtractBatch(ext, Inputs(files))
+	if err != nil {
+		return nil, fmt.Errorf("core: extract %w", err)
+	}
 	y := make([][]bool, len(files))
-	extractErrs := make([]error, len(files))
-	par.For(len(files), 0, func(i int) {
-		vec, err := ext.Extract(files[i].Source)
-		if err != nil {
-			extractErrs[i] = err
-			return
-		}
-		x[i] = vec
+	for i := range files {
 		y[i] = labelRow(&files[i])
-	})
-	for i, err := range extractErrs {
-		if err != nil {
-			return nil, fmt.Errorf("core: extract %s: %w", files[i].Name, err)
-		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var model ml.MultiTask
-	var err error
 	if opts.Independent {
 		model, err = ml.TrainIndependent(x, y, labels, opts.Forest, rng)
 	} else {

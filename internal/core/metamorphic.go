@@ -12,7 +12,7 @@ import (
 // to a regular file must not *decrease* the predicted probability of T's own
 // label, because the transformed variant carries strictly more of T's signal
 // than the original. The sweep below is the single implementation of that
-// check; the detector-level test drives it with Detector.Probs directly and
+// check; the detector-level test drives it with Detector.ProbsVec directly and
 // the scan-service test drives it through POST /v1/scan, so both layers
 // enforce the same property at the same tolerance.
 
@@ -39,8 +39,8 @@ func (v MetamorphicViolation) String() string {
 
 // MetamorphicSweep applies every monitored technique to each file and checks
 // the property through probs, which must return the per-technique
-// probabilities in transform.Techniques order (Detector.Probs on a level 2
-// model, or any transport wrapped around it). Randomness is deterministic:
+// probabilities in transform.Techniques order (Detector.ProbsVec on a level
+// 2 model, or any transport wrapped around it). Randomness is deterministic:
 // one fixed-seed stream per technique, so adding a technique or a file never
 // reshuffles another pair's transform. The error is the first transform or
 // probs failure; violations only collects property breaks.

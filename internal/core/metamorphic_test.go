@@ -25,7 +25,14 @@ func TestMetamorphicTechniqueProbability(t *testing.T) {
 		t.Fatal("no held-out regular files")
 	}
 
-	violations, err := MetamorphicSweep(files, tr.Level2.Probs)
+	probs := func(src string) ([]float64, error) {
+		x, err := ExtractBatch(tr.Level2.Extractor(), []Input{{Source: src}})
+		if err != nil {
+			return nil, err
+		}
+		return tr.Level2.ProbsVec(x[0]), nil
+	}
+	violations, err := MetamorphicSweep(files, probs)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

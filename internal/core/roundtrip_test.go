@@ -50,15 +50,13 @@ func TestModelRoundTripPredictions(t *testing.T) {
 			break
 		}
 	}
-	for _, f := range held {
-		want, err := d.ClassifyLevel1(f.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
-		got, err := loaded.ClassifyLevel1(f.Source)
-		if err != nil {
-			t.Fatalf("%s: loaded model: %v", f.Name, err)
-		}
+	x, err := ExtractBatch(loaded.Extractor(), Inputs(held))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range held {
+		want := Level1FromProbs(d.ProbsVec(x[i]))
+		got := Level1FromProbs(loaded.ProbsVec(x[i]))
 		if got != want {
 			t.Fatalf("%s: loaded model predicts %+v, original %+v", f.Name, got, want)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/corpus"
 	"repro/internal/features"
 	"repro/internal/flow"
 	"repro/internal/js/parser"
@@ -83,6 +84,16 @@ type ScanOptions struct {
 type Input struct {
 	Path   string
 	Source string
+}
+
+// Inputs turns corpus files into scan inputs, one per file, named by the
+// file's name.
+func Inputs(files []corpus.File) []Input {
+	out := make([]Input, len(files))
+	for i, f := range files {
+		out[i] = Input{Path: f.Name, Source: f.Source}
+	}
+	return out
 }
 
 // FileResult is the verdict on one input. When Err is non-nil (the file did
@@ -324,30 +335,17 @@ func (s *Scanner) StoreStats() (stats store.Stats, ok bool) {
 	return s.vstore.Stats(), true
 }
 
-// scanFile classifies one input: a single parse and flow graph feed the
-// feature vector, both detectors, and (under Explain) the indicator rules.
-// acc, when non-nil, receives the per-stage cost breakdown. ps and fs
-// amortize parser, lexer, scope, and flow-graph state across the files this
-// worker scans; the session-backed graph is consumed before this call
-// returns, and nothing in FileResult retains it.
+// scanFile classifies one input: its feature vector and (under Explain) its
+// diagnostics come from extractFile, and both detectors run on that one
+// vector. acc, when non-nil, receives the per-stage cost breakdown.
 func (s *Scanner) scanFile(in Input, acc *stageAcc, ps *parser.Session, fs *flow.Session) FileResult {
 	out := FileResult{Path: in.Path, Bytes: len(in.Source)}
 	t := newStageTimer(acc, len(in.Source))
-	res, err := ps.ParseNoTokens(in.Source)
-	t.tick(stageParse)
+	vec, diags, err := extractFile(s.ext, in.Source, s.opts.Explain, ps, fs, &t)
 	if err != nil {
-		out.Err = fmt.Errorf("parse: %w", err)
+		out.Err = err
 		return out
 	}
-	g := s.ext.FlowSession(fs, res)
-	t.tick(stageFlow)
-	var diags []analysis.Diagnostic
-	if s.opts.Explain || s.ext.Options().RuleFeatures {
-		diags = analysis.AnalyzeParsed(in.Source, res, g)
-		t.tick(stageRules)
-	}
-	vec := s.ext.ExtractFull(in.Source, res, g, diags)
-	t.tick(stageFeatures)
 	out.Level1 = level1FromProbs(s.l1.ProbsVec(vec))
 	if out.Level1.IsTransformed() || s.opts.ForceLevel2 {
 		r := Level2FromProbs(s.l2.ProbsVec(vec))
@@ -358,6 +356,57 @@ func (s *Scanner) scanFile(in Input, acc *stageAcc, ps *parser.Session, fs *flow
 		out.Diagnostics = diags
 	}
 	return out
+}
+
+// extractFile is the paper's per-file pipeline up to the feature vector
+// (Section III): one parse, the control and data flow over it, the
+// indicator rules when explain is set or the layout carries rule features,
+// then the 4-gram and hand-picked features. It is the only place that
+// sequences these stages; the scanner adds inference on top, and
+// ExtractBatch serves training and feature importance. t ticks the parse,
+// flow, rules and features stages. ps and fs are the calling worker's
+// sessions: the session-backed AST and graph are consumed before this call
+// returns, and nothing it returns retains them.
+func extractFile(ext *features.Extractor, src string, explain bool, ps *parser.Session, fs *flow.Session, t *stageTimer) (features.Vector, []analysis.Diagnostic, error) {
+	res, err := ps.ParseNoTokens(src)
+	t.tick(stageParse)
+	if err != nil {
+		return nil, nil, fmt.Errorf("parse: %w", err)
+	}
+	g := ext.FlowSession(fs, res)
+	t.tick(stageFlow)
+	var diags []analysis.Diagnostic
+	if explain || ext.Options().RuleFeatures {
+		diags = analysis.AnalyzeParsed(src, res, g)
+		t.tick(stageRules)
+	}
+	vec := ext.ExtractFull(src, res, g, diags)
+	t.tick(stageFeatures)
+	return vec, diags, nil
+}
+
+// ExtractBatch computes every input's feature vector with ext through the
+// scan's per-file pipeline, on GOMAXPROCS workers that each hold one parser
+// session and one flow session. Row i of the result is input i's vector, so
+// the output does not depend on scheduling. The error names the first input,
+// in input order, that did not parse.
+func ExtractBatch(ext *features.Extractor, inputs []Input) ([][]float64, error) {
+	x := make([][]float64, len(inputs))
+	errs := make([]error, len(inputs))
+	claims := par.NewCounter(len(inputs))
+	par.Run(par.Size(0, len(inputs)), func(int) {
+		ps, fs := parser.NewSession(), flow.NewSession()
+		var t stageTimer
+		for i, ok := claims.Claim(); ok; i, ok = claims.Claim() {
+			x[i], _, errs[i] = extractFile(ext, inputs[i].Source, false, ps, fs, &t)
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", inputs[i].Path, err)
+		}
+	}
+	return x, nil
 }
 
 // ScanStream classifies inputs and calls emit once per input, in input

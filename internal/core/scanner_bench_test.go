@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/corpus"
 	"repro/internal/features"
 	"repro/internal/transform"
@@ -126,33 +125,6 @@ func BenchmarkScanBatchDupesDedup(b *testing.B) {
 		}
 		if want := len(inputs) * 3 / 4; stats.Deduped < want {
 			b.Fatalf("Deduped = %d, want >= %d", stats.Deduped, want)
-		}
-	}
-}
-
-// BenchmarkScanSerial3Parse is the pre-engine baseline the tentpole
-// replaces: the old CLI classified each file with ClassifyLevel1 (parse 1),
-// ClassifyLevel2 (parse 2), and analysis.Analyze under -explain (parse 3),
-// strictly serially.
-func BenchmarkScanSerial3Parse(b *testing.B) {
-	inputs := benchScanInputs(b)
-	l1, l2 := benchDetectors(b, features.Options{NGramDims: 1024})
-	b.SetBytes(totalBytes(inputs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range inputs {
-			res, err := l1.ClassifyLevel1(in.Source)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.IsTransformed() {
-				if _, err := l2.ClassifyLevel2(in.Source); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := analysis.Analyze(in.Source); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

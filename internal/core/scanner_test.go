@@ -10,10 +10,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/corpus"
 	"repro/internal/features"
 	"repro/internal/js/parser"
 	"repro/internal/ml"
+	"repro/internal/obs"
 	"repro/internal/transform"
 )
 
@@ -64,8 +66,7 @@ func scanInputs(n int) []Input {
 }
 
 // TestScanBatchParseOnce is the acceptance criterion: one parse per input,
-// even with Explain attached, instead of the three parses of the serial
-// classify-classify-analyze path.
+// even with Explain attached, shared by both detectors and the rules.
 func TestScanBatchParseOnce(t *testing.T) {
 	s := tinyScanner(t, ScanOptions{Workers: 4, Explain: true}, features.Options{NGramDims: 256})
 	inputs := scanInputs(6)
@@ -98,6 +99,50 @@ func TestScanBatchParseOnceWithRuleFeatures(t *testing.T) {
 	s.ScanBatch(inputs)
 	if delta := parser.Parses() - before; delta != int64(len(inputs)) {
 		t.Fatalf("rule-features scan used %d parses for %d files", delta, len(inputs))
+	}
+}
+
+// TestScanRulesRunOncePerFile pins one indicator-engine run per parsed file
+// when the rules feed the vector (RuleFeatures), whether or not they also
+// feed the Explain output, and whether or not the file has findings: a
+// clean file's empty diagnostics are a result, not a request to run the
+// rules again.
+func TestScanRulesRunOncePerFile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := corpus.RegularSet(1, rng)[0]
+	inputs := append(scanInputs(3), Input{Path: base.Name, Source: base.Source})
+	for _, tech := range []transform.Technique{transform.GlobalArray, transform.DebugProtection} {
+		tf, err := corpus.Apply(base, rng, tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, Input{Path: tech.String(), Source: tf.Source})
+	}
+	clean, flagged := 0, 0
+	for _, in := range inputs {
+		diags, err := analysis.Analyze(in.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diags) == 0 {
+			clean++
+		} else {
+			flagged++
+		}
+	}
+	if clean == 0 || flagged == 0 {
+		t.Fatalf("inputs must mix clean and flagged files, got %d clean, %d flagged", clean, flagged)
+	}
+	for _, explain := range []bool{false, true} {
+		s := tinyScanner(t, ScanOptions{Workers: 2, Explain: explain},
+			features.Options{NGramDims: 256, RuleFeatures: true})
+		reg := obs.NewRegistry()
+		prev := obs.Swap(reg)
+		s.ScanBatch(inputs)
+		obs.Swap(prev)
+		if got := reg.Counter("analysis.runs").Value(); got != int64(len(inputs)) {
+			t.Errorf("Explain=%v: analysis.runs = %d for %d files, want one run each", explain, got, len(inputs))
+		}
 	}
 }
 

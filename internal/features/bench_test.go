@@ -5,23 +5,34 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/flow"
+	"repro/internal/js/parser"
 	"repro/internal/transform"
 )
+
+// benchExtract measures parse plus extraction of src the way a scan worker
+// runs it: one parser session and one flow session across iterations.
+func benchExtract(b *testing.B, src string) {
+	e := NewExtractor(Options{})
+	ps, fs := parser.NewSession(), flow.NewSession()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ps.ParseNoTokens(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		extractParsed(e, fs, src, res)
+	}
+}
 
 func BenchmarkExtractRegular(b *testing.B) {
 	src := corpus.GenerateRegular(rand.New(rand.NewSource(1)))
 	for len(src) < 2048 {
 		src += corpus.GenerateRegular(rand.New(rand.NewSource(int64(len(src)))))
 	}
-	e := NewExtractor(Options{})
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Extract(src); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExtract(b, src)
 }
 
 func BenchmarkExtractMinified(b *testing.B) {
@@ -31,13 +42,5 @@ func BenchmarkExtractMinified(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := NewExtractor(Options{})
-	b.SetBytes(int64(len(min)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Extract(min); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExtract(b, min)
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/flow"
@@ -25,8 +24,6 @@ type Options struct {
 	NGramDims int
 	// NGramLen is the n-gram window length; zero means the paper's 4.
 	NGramLen int
-	// DataFlowDeadline bounds data-flow construction (paper: two minutes).
-	DataFlowDeadline time.Duration
 	// RuleFeatures appends one dimension per static-analysis rule
 	// (internal/analysis) carrying that rule's capped diagnostic count, so
 	// the forests can consume the same explainable signals. Opt-in: it
@@ -63,8 +60,7 @@ type Vector []float64
 // Extractor extracts feature vectors with a fixed layout.
 type Extractor struct {
 	opts Options
-	// engine and the rule layout are set only when opts.RuleFeatures is on.
-	engine    *analysis.Engine
+	// The rule layout is set only when opts.RuleFeatures is on.
 	ruleNames []string
 	ruleIndex map[string]int
 }
@@ -73,9 +69,8 @@ type Extractor struct {
 func NewExtractor(opts Options) *Extractor {
 	e := &Extractor{opts: opts}
 	if opts.RuleFeatures {
-		e.engine = analysis.Default()
 		e.ruleIndex = make(map[string]int)
-		for i, r := range e.engine.Rules() {
+		for i, r := range analysis.Default().Rules() {
 			id := r.Info().ID
 			e.ruleNames = append(e.ruleNames, "rule_"+strings.ReplaceAll(id, "-", "_"))
 			e.ruleIndex[id] = i
@@ -101,60 +96,29 @@ func (e *Extractor) Names() []string {
 	return append(names, e.ruleNames...)
 }
 
-// Extract parses src and computes its feature vector.
-func (e *Extractor) Extract(src string) (Vector, error) {
-	res, err := parser.ParseNoTokens(src)
-	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	return e.ExtractParsed(src, res), nil
-}
-
-// Flow builds the flow graph the extractor would use for res, honoring the
-// configured data-flow deadline. Exposed so callers that also need the graph
-// (e.g. core.Detector.Explain) can build it once and share it. The returned
-// graph is self-contained.
-func (e *Extractor) Flow(res *parser.Result) *flow.Graph {
-	return flow.Build(res.Program, flow.Options{DataFlowDeadline: e.opts.DataFlowDeadline})
-}
-
-// FlowSession is Flow with the caller's reusable flow session: the scan
-// worker loop holds one per worker, so graph storage is recycled across
-// files. The returned graph aliases fs's storage and is invalidated by fs's
-// next Build.
+// FlowSession builds the flow graph the extractor reads for res with the
+// caller's reusable flow session: a scan worker holds one per worker, so
+// graph storage is recycled across files. The returned graph aliases fs's
+// storage and is invalidated by fs's next Build.
 func (e *Extractor) FlowSession(fs *flow.Session, res *parser.Result) *flow.Graph {
-	return fs.Build(res.Program, flow.Options{DataFlowDeadline: e.opts.DataFlowDeadline})
+	return fs.Build(res.Program, flow.Options{})
 }
 
-// ExtractParsed computes the feature vector from an already-parsed file.
-func (e *Extractor) ExtractParsed(src string, res *parser.Result) Vector {
-	return e.ExtractFull(src, res, nil, nil)
-}
-
-// ExtractFull computes the feature vector, reusing an already-built flow
-// graph and/or already-computed diagnostics when the caller has them (both
-// may be nil, in which case they are built here as needed).
+// ExtractFull computes the feature vector of a parsed file from its flow
+// graph g, which must not be nil, and its indicator diagnostics. diags is
+// read only when the layout carries rule features; nil means the rules found
+// nothing.
 func (e *Extractor) ExtractFull(src string, res *parser.Result, g *flow.Graph, diags []analysis.Diagnostic) Vector {
 	defer obs.Time("features.extract")()
 	obs.Add("features.vectors", 1)
 	vec := make(Vector, e.Dim())
 	e.ngramFeatures(res, vec[:e.opts.dims()])
-	if g == nil {
-		g = e.Flow(res)
-	}
 	handPicked(src, res, g, vec[e.opts.dims():e.opts.dims()+numHandPicked])
-	if e.engine != nil {
-		if diags == nil {
-			diags = e.engine.Run(&analysis.Context{
-				Src: src, Result: res, Program: res.Program, Graph: g,
-			})
-		}
-		ruleBlock := vec[e.opts.dims()+numHandPicked:]
-		for _, d := range diags {
-			if i, ok := e.ruleIndex[d.Rule]; ok {
-				// Capped count normalized to [0, 1].
-				ruleBlock[i] = capAt(ruleBlock[i]+0.25, 1)
-			}
+	ruleBlock := vec[e.opts.dims()+numHandPicked:]
+	for _, d := range diags {
+		if i, ok := e.ruleIndex[d.Rule]; ok {
+			// Capped count normalized to [0, 1].
+			ruleBlock[i] = capAt(ruleBlock[i]+0.25, 1)
 		}
 	}
 	return vec

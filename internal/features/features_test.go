@@ -7,13 +7,37 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analysis"
+	"repro/internal/flow"
+	"repro/internal/js/parser"
 	"repro/internal/transform"
 )
+
+// extractParsed runs the scan pipeline's steps after the parse, in the
+// scanner's order: the flow graph on fs, the indicator rules when the layout
+// carries rule features, then ExtractFull.
+func extractParsed(e *Extractor, fs *flow.Session, src string, res *parser.Result) Vector {
+	g := e.FlowSession(fs, res)
+	var diags []analysis.Diagnostic
+	if e.Options().RuleFeatures {
+		diags = analysis.AnalyzeParsed(src, res, g)
+	}
+	return e.ExtractFull(src, res, g, diags)
+}
+
+// extractSource parses src and computes its feature vector.
+func extractSource(e *Extractor, src string) (Vector, error) {
+	res, err := parser.ParseNoTokens(src)
+	if err != nil {
+		return nil, err
+	}
+	return extractParsed(e, flow.NewSession(), src, res), nil
+}
 
 func extract(t *testing.T, src string) Vector {
 	t.Helper()
 	e := NewExtractor(Options{NGramDims: 256})
-	vec, err := e.Extract(src)
+	vec, err := extractSource(e, src)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
@@ -46,7 +70,7 @@ console.log(sum(nums));
 
 func TestExtractShapes(t *testing.T) {
 	e := NewExtractor(Options{NGramDims: 256})
-	vec, err := e.Extract(regularSrc)
+	vec, err := extractSource(e, regularSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +89,7 @@ func TestExtractShapes(t *testing.T) {
 
 func TestNGramsNormalized(t *testing.T) {
 	e := NewExtractor(Options{NGramDims: 128})
-	vec, err := e.Extract(regularSrc)
+	vec, err := extractSource(e, regularSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +107,7 @@ func TestNGramsNormalized(t *testing.T) {
 
 func TestExtractError(t *testing.T) {
 	e := NewExtractor(Options{})
-	if _, err := e.Extract("var = ;;;"); err == nil {
+	if _, err := extractSource(e, "var = ;;;"); err == nil {
 		t.Fatal("expected parse error")
 	}
 }
@@ -225,7 +249,7 @@ func TestFeatureVectorBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		src := genSource(rng)
-		vec, err := e.Extract(src)
+		vec, err := extractSource(e, src)
 		if err != nil {
 			return true // generator may emit files our filter would drop
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/flow"
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
 	"repro/internal/js/walker"
@@ -97,13 +98,14 @@ func TestExtractFullDeterministic(t *testing.T) {
 	for _, ruleFeatures := range []bool{false, true} {
 		a := NewExtractor(Options{NGramDims: 256, RuleFeatures: ruleFeatures})
 		b := NewExtractor(Options{NGramDims: 256, RuleFeatures: ruleFeatures})
+		fa, fb := flow.NewSession(), flow.NewSession()
 		for _, f := range files {
 			res, err := parser.ParseNoTokens(f.Source)
 			if err != nil {
 				t.Fatalf("%s: parse: %v", f.Name, err)
 			}
-			va := a.ExtractFull(f.Source, res, nil, nil)
-			vb := b.ExtractFull(f.Source, res, nil, nil)
+			va := extractParsed(a, fa, f.Source, res)
+			vb := extractParsed(b, fb, f.Source, res)
 			if len(va) != a.Dim() || len(vb) != len(va) {
 				t.Fatalf("%s: vector length %d/%d, want %d", f.Name, len(va), len(vb), a.Dim())
 			}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/flow"
 	"repro/internal/js/parser"
 )
 
@@ -104,6 +105,7 @@ func recordBlock(t *testing.T, fixture, layout string, block *map[string]float64
 func TestExtractFullGolden(t *testing.T) {
 	files := append(goldenFixtures(t), edgeFixtures...)
 	got := make([]goldenVector, len(files))
+	fs := flow.NewSession()
 	for i, f := range files {
 		g := &got[i]
 		g.Name, g.SHA256 = fixtureName(f), map[string]string{}
@@ -113,7 +115,7 @@ func TestExtractFullGolden(t *testing.T) {
 				t.Fatalf("%s: parse: %v", g.Name, err)
 			}
 			e := NewExtractor(opts)
-			vec := e.ExtractFull(f.Source, res, nil, nil)
+			vec := extractParsed(e, fs, f.Source, res)
 			names, key := e.Names(), layoutKey(opts)
 			ruleLo := opts.NGramDims + numHandPicked
 			recordBlock(t, g.Name, key, &g.HandPicked, names[:ruleLo], vec, opts.NGramDims)

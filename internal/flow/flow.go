@@ -10,13 +10,12 @@
 // Construction is one fused traversal: scope.Session.AnalyzeFlow emits the
 // control edges while it resolves scopes (what used to be two walks), and
 // the data edges are then read straight off the binding list. A Session
-// draws all edge and scope storage from per-session pools; the package-
-// level Build wraps a pooled Session and detaches the result, so one-shot
-// callers still get a self-contained Graph.
+// draws all edge and scope storage from per-session pools, so every caller
+// holds one: a scan worker for its whole run, a one-shot caller for one
+// Build.
 package flow
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/js/ast"
@@ -43,30 +42,11 @@ type Graph struct {
 	DataFlowTimedOut bool
 }
 
-// Detach deep-copies a session-backed Graph into self-contained storage
-// (edges copied, scope info detached). AST node pointers are shared, as
-// ever — the nodes belong to the parser.Result.
-func (g *Graph) Detach() *Graph {
-	out := &Graph{Root: g.Root, DataFlowTimedOut: g.DataFlowTimedOut}
-	if g.Control != nil {
-		out.Control = append([]Edge(nil), g.Control...)
-	}
-	if g.Data != nil {
-		out.Data = append([]Edge(nil), g.Data...)
-	}
-	if g.Scopes != nil {
-		out.Scopes = g.Scopes.Detach()
-	}
-	return out
-}
-
 // Options configures graph construction.
 type Options struct {
 	// DataFlowDeadline bounds data-flow construction; zero means the
 	// paper's default of two minutes.
 	DataFlowDeadline time.Duration
-	// SkipDataFlow builds a control-flow-only graph.
-	SkipDataFlow bool
 }
 
 // DefaultDataFlowDeadline matches the two-minute timeout from the paper.
@@ -84,8 +64,7 @@ const dataFlowCheckEvery = 4096
 //
 // Ownership contract (mirroring parser.Session): the Graph returned by
 // Build aliases session storage and is valid only until the next Build on
-// the same Session. Use Graph.Detach (or the package-level Build) for a
-// self-contained copy. Sessions are not safe for concurrent use.
+// the same Session. Sessions are not safe for concurrent use.
 type Session struct {
 	sc   *scope.Session
 	data []Edge
@@ -111,17 +90,12 @@ func (s *Session) Build(prog *ast.Program, opts Options) *Graph {
 	start := time.Now()
 	info, control := s.sc.AnalyzeFlow(prog)
 	g := &s.g
-	*g = Graph{Root: prog, Control: control}
-	if opts.SkipDataFlow {
-		flushStats(g, info)
-		return g
-	}
-	g.Scopes = info
+	*g = Graph{Root: prog, Control: control, Scopes: info}
 	// One deadline check covers the fused walk itself; inside the edge loop
 	// the counter below takes over.
 	if time.Since(start) > deadline {
 		g.DataFlowTimedOut = true
-		flushStats(g, info)
+		flushStats(g)
 		return g
 	}
 	s.data = s.data[:0]
@@ -139,33 +113,19 @@ func (s *Session) Build(prog *ast.Program, opts Options) *Graph {
 			if time.Since(start) > deadline {
 				s.data = s.data[:0]
 				g.DataFlowTimedOut = true
-				flushStats(g, info)
+				flushStats(g)
 				return g
 			}
 		}
 	}
 	g.Data = s.data
-	flushStats(g, info)
-	return g
-}
-
-// sessions recycles flow sessions for the package-level Build, so one-shot
-// callers amortize warm-up and still receive self-contained graphs.
-var sessions = sync.Pool{New: func() any { return NewSession() }}
-
-// Build constructs the enhanced graph for a program. The returned Graph is
-// self-contained; callers that build many graphs should hold a Session.
-func Build(prog *ast.Program, opts Options) *Graph {
-	s := sessions.Get().(*Session)
-	g := s.Build(prog, opts).Detach()
-	sessions.Put(s)
+	flushStats(g)
 	return g
 }
 
 // flushStats records one built graph into the obs registry (no-ops when
-// metrics are disabled). info is the fused walk's scope result, recorded
-// even when the caller drops it (SkipDataFlow).
-func flushStats(g *Graph, info *scope.Info) {
+// metrics are disabled).
+func flushStats(g *Graph) {
 	if !obs.Enabled() {
 		return
 	}
@@ -173,9 +133,7 @@ func flushStats(g *Graph, info *scope.Info) {
 	obs.Add("flow.walk.fused", 1)
 	obs.Add("flow.control_edges", int64(len(g.Control)))
 	obs.Add("flow.data_edges", int64(len(g.Data)))
-	if info != nil {
-		obs.Add("flow.scope.bindings", int64(len(info.Bindings)))
-	}
+	obs.Add("flow.scope.bindings", int64(len(g.Scopes.Bindings)))
 	if g.DataFlowTimedOut {
 		obs.Add("flow.dataflow_timeouts", 1)
 	}

@@ -14,7 +14,7 @@ func build(t *testing.T, src string) *Graph {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Build(prog, Options{})
+	return NewSession().Build(prog, Options{})
 }
 
 func TestSequentialControlFlow(t *testing.T) {
@@ -123,27 +123,13 @@ use(x);`)
 	}
 }
 
-func TestSkipDataFlow(t *testing.T) {
-	prog, err := parser.ParseProgram("var x = 1; use(x);")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Build(prog, Options{SkipDataFlow: true})
-	if len(g.Data) != 0 {
-		t.Fatal("SkipDataFlow must omit data edges")
-	}
-	if len(g.Control) == 0 {
-		t.Fatal("control edges must still be present")
-	}
-}
-
 func TestDataFlowDeadline(t *testing.T) {
 	prog, err := parser.ParseProgram("var x = 1; use(x);")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A generous deadline must not trigger the fallback.
-	g := Build(prog, Options{DataFlowDeadline: time.Minute})
+	g := NewSession().Build(prog, Options{DataFlowDeadline: time.Minute})
 	if g.DataFlowTimedOut {
 		t.Fatal("deadline must not fire on a tiny file")
 	}

@@ -101,7 +101,7 @@ func TestGraphInvariantsOverCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("corpus generator emitted unparseable JS: %v", err)
 			}
-			g := Build(prog, Options{})
+			g := NewSession().Build(prog, Options{})
 			checkGraphInvariants(t, g, prog, "regular")
 			if len(g.Control) == 0 {
 				t.Fatal("generated program produced no control edges")
@@ -112,7 +112,7 @@ func TestGraphInvariantsOverCorpus(t *testing.T) {
 
 			// Idempotence: a second build over the same AST is identical,
 			// proving the first build did not mutate the program.
-			g2 := Build(prog, Options{})
+			g2 := NewSession().Build(prog, Options{})
 			if !edgesEqual(g.Control, g2.Control) {
 				t.Fatalf("second build changed control edges: %d vs %d",
 					len(g.Control), len(g2.Control))
@@ -142,9 +142,9 @@ func TestGraphInvariantsOverTransforms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("transformed source unparseable: %v", err)
 			}
-			g := Build(prog, Options{})
+			g := NewSession().Build(prog, Options{})
 			checkGraphInvariants(t, g, prog, tech.String())
-			g2 := Build(prog, Options{})
+			g2 := NewSession().Build(prog, Options{})
 			if !edgesEqual(g.Control, g2.Control) || !edgesEqual(g.Data, g2.Data) {
 				t.Fatal("rebuild over transformed program not idempotent")
 			}
@@ -172,7 +172,7 @@ var i = (() => shortArrow)();
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := Build(prog, Options{})
+	g := NewSession().Build(prog, Options{})
 	checkGraphInvariants(t, g, prog, "terminators")
 	// No control edge may originate at a terminator statement's sequential
 	// successor position: find edges whose From is a ThrowStatement — the
@@ -200,24 +200,18 @@ var i = (() => shortArrow)();
 	}
 }
 
-// TestGraphInvariantsControlFlowOnly checks the SkipDataFlow and timeout
-// fallback paths keep the same control-flow invariants.
+// TestGraphInvariantsControlFlowOnly checks the timeout fallback path keeps
+// the same control-flow invariants.
 func TestGraphInvariantsControlFlowOnly(t *testing.T) {
 	src := corpus.GenerateRegular(rand.New(rand.NewSource(9)))
 	prog, err := parser.ParseProgram(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := Build(prog, Options{SkipDataFlow: true})
-	checkGraphInvariants(t, g, prog, "skip-data-flow")
-	if len(g.Data) != 0 || g.Scopes != nil {
-		t.Fatalf("SkipDataFlow graph carries data flow: %d edges", len(g.Data))
-	}
-
 	// A 1ns deadline has expired by the time the post-walk check runs
 	// (negative/zero deadlines mean "use the default", so the smallest
 	// positive duration is the way to force the fallback).
-	g = Build(prog, Options{DataFlowDeadline: time.Nanosecond})
+	g := NewSession().Build(prog, Options{DataFlowDeadline: time.Nanosecond})
 	checkGraphInvariants(t, g, prog, "expired-deadline")
 	if !g.DataFlowTimedOut {
 		t.Fatal("expired deadline did not set DataFlowTimedOut")

@@ -13,9 +13,8 @@ import (
 )
 
 // Session-poisoning tests: a reused session must behave exactly like a
-// fresh one, no matter what the previous Build did (completed, skipped data
-// flow, or timed out), and a detached graph must survive the session moving
-// on. These mirror the parser session's poisoning suite — the flow session
+// fresh one, no matter what the previous Build did (completed or timed
+// out). These mirror the parser session's poisoning suite — the flow session
 // recycles even more state (scope slabs, ref stores, edge buffers), so the
 // hard-reset contract is load-bearing.
 
@@ -60,7 +59,7 @@ func TestSessionReuseMatchesFresh(t *testing.T) {
 	s := NewSession()
 	for i, f := range files {
 		res := parseT(t, f.Source)
-		got := s.Build(res.Program, Options{}).Detach()
+		got := s.Build(res.Program, Options{})
 		want := NewSession().Build(res.Program, Options{})
 		graphsEquivalent(t, fmt.Sprintf("%s#%d", f.Name, i), got, want)
 	}
@@ -84,53 +83,6 @@ func TestSessionReuseAfterTimeout(t *testing.T) {
 	graphsEquivalent(t, "after-timeout", got, want)
 	if got.DataFlowTimedOut {
 		t.Fatal("timeout flag leaked into the next build")
-	}
-}
-
-// TestSessionReuseAfterSkipDataFlow checks the SkipDataFlow path resets as
-// cleanly as the full one.
-func TestSessionReuseAfterSkipDataFlow(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	files := corpus.RegularSet(2, rng)
-	s := NewSession()
-	resA := parseT(t, files[0].Source)
-	if g := s.Build(resA.Program, Options{SkipDataFlow: true}); g.Scopes != nil {
-		t.Fatal("SkipDataFlow graph carries scopes")
-	}
-	resB := parseT(t, files[1].Source)
-	got := s.Build(resB.Program, Options{})
-	want := NewSession().Build(resB.Program, Options{})
-	graphsEquivalent(t, "after-skip", got, want)
-}
-
-// TestDetachOutlivesSession pins the escape hatch: a detached graph stays
-// intact (edges, scopes, resolution table) while the session that built it
-// churns through other files.
-func TestDetachOutlivesSession(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	files := corpus.RegularSet(3, rng)
-	s := NewSession()
-	resA := parseT(t, files[0].Source)
-	detached := s.Build(resA.Program, Options{}).Detach()
-	want := NewSession().Build(resA.Program, Options{})
-
-	// Churn the session: its internal storage is overwritten per build.
-	for _, f := range files[1:] {
-		s.Build(parseT(t, f.Source).Program, Options{})
-	}
-
-	graphsEquivalent(t, "detached", detached, want)
-	checkGraphInvariants(t, detached, resA.Program, "detached")
-	for i, b := range want.Scopes.Bindings {
-		db := detached.Scopes.Bindings[i]
-		if db.Name != b.Name || db.Decl != b.Decl || len(db.Refs) != len(b.Refs) {
-			t.Fatalf("detached binding %d (%q) diverged after session reuse", i, b.Name)
-		}
-		for _, ref := range db.Refs {
-			if got := detached.Scopes.BindingOf(ref); got == nil || got.Name != b.Name {
-				t.Fatalf("detached BindingOf(%q ref) = %v after session reuse", b.Name, got)
-			}
-		}
 	}
 }
 

@@ -50,7 +50,7 @@ func getTrained(t *testing.T) *core.Trained {
 // property — applying technique T must not drop P(T) by more than the shared
 // tolerance — through the whole service stack: real trained models, POST
 // /v1/scan, JSON round-trip. The sweep itself is core.MetamorphicSweep, the
-// same implementation the core test drives with Detector.Probs directly, so
+// same implementation the core test drives with Detector.ProbsVec directly, so
 // the two layers can never drift apart on tolerance or seed policy.
 func TestMetamorphicThroughService(t *testing.T) {
 	tr := getTrained(t)

@@ -33,13 +33,12 @@ import (
 // absent in others — so a split on them actually separates the corpus.
 func discriminatingBuckets(t *testing.T, inputs []core.Input, featOpts features.Options) []int32 {
 	t.Helper()
-	ext := features.NewExtractor(featOpts)
+	vecs, err := core.ExtractBatch(features.NewExtractor(featOpts), inputs)
+	if err != nil {
+		t.Fatalf("extract %v", err)
+	}
 	occupied := make([]int, featOpts.Dims())
-	for _, in := range inputs {
-		vec, err := ext.Extract(in.Source)
-		if err != nil {
-			t.Fatalf("extract %s: %v", in.Path, err)
-		}
+	for _, vec := range vecs {
 		for b := 0; b < featOpts.Dims(); b++ {
 			if vec[b] > 0 {
 				occupied[b]++

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ml"
-	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -170,12 +169,7 @@ func (r *Runner) RunLevel2Accuracy() (Level2Accuracy, error) {
 // classifyAllLevel2 runs level 2 unconditionally (evaluation of the level 2
 // detector alone).
 func (r *Runner) classifyAllLevel2(files []corpus.File) []fileProbs {
-	out := make([]fileProbs, len(files))
-	par.For(len(files), 0, func(i int) {
-		l2, err := r.Trained.Level2.ClassifyLevel2(files[i].Source)
-		out[i] = fileProbs{file: &files[i], level2: l2, err: err}
-	})
-	return out
+	return classify(r.scanLevel2, files)
 }
 
 func level2ProbRow(res core.Level2Result) []float64 {
@@ -445,14 +439,17 @@ func (r *Runner) RunChainAblation() (ChainAblation, error) {
 	}
 
 	exactOf := func(d *core.Detector) (float64, error) {
+		sc, err := core.NewScanner(r.Trained.Level1, d, core.ScanOptions{ForceLevel2: true})
+		if err != nil {
+			return 0, err
+		}
 		exact := 0
-		for i := range testHalf {
-			res, err := d.ClassifyLevel2(testHalf[i].Source)
-			if err != nil {
-				return 0, err
+		for _, res := range classify(sc, testHalf) {
+			if res.err != nil {
+				return 0, res.err
 			}
-			truth := core.Level2LabelRow(&testHalf[i])
-			pred := ml.ThresholdLabels(level2ProbRow(res), 0.5)
+			truth := core.Level2LabelRow(res.file)
+			pred := ml.ThresholdLabels(level2ProbRow(res.level2), 0.5)
 			if ml.ExactMatch(pred, truth) {
 				exact++
 			}

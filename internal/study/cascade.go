@@ -70,10 +70,7 @@ func (r *Runner) RunCascade(dir string, shards int) (CascadeStudy, error) {
 		return st, err
 	}
 	files := append(alexa, npm...)
-	inputs := make([]core.Input, len(files))
-	for i, f := range files {
-		inputs[i] = core.Input{Path: f.Name, Source: f.Source}
-	}
+	inputs := core.Inputs(files)
 
 	// One pass per shard, interleaved assignment so shard sizes stay even.
 	// Each shard is its own scanner over the shared store — the crawl-scale

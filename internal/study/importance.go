@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ml"
-	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -41,16 +41,9 @@ func (r *Runner) RunFeatureImportance(topN int) ([]FeatureRanking, error) {
 	files = append(files, r.Trained.TestPool[transform.ControlFlowFlattening]...)
 
 	ext := r.Trained.Level1.Extractor()
-	x := make([][]float64, len(files))
-	errs := make([]error, len(files))
-	par.For(len(files), 0, func(i int) {
-		vec, err := ext.Extract(files[i].Source)
-		x[i], errs[i] = vec, err
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	x, err := core.ExtractBatch(ext, core.Inputs(files))
+	if err != nil {
+		return nil, err
 	}
 
 	names := ext.Names()

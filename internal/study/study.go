@@ -15,7 +15,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/features"
 	"repro/internal/ml"
-	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -45,6 +44,9 @@ func (c Config) scale() int {
 type Runner struct {
 	Trained *core.Trained
 	cfg     Config
+	// scan classifies through the batch engine; scanLevel2 also ranks the
+	// techniques of files level 1 calls regular.
+	scan, scanLevel2 *core.Scanner
 }
 
 // detectorOptions derives the detector options from the study config.
@@ -73,7 +75,14 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Trained: trained, cfg: cfg}, nil
+	r := &Runner{Trained: trained, cfg: cfg}
+	if r.scan, err = core.NewScanner(trained.Level1, trained.Level2, core.ScanOptions{}); err != nil {
+		return nil, err
+	}
+	if r.scanLevel2, err = core.NewScanner(trained.Level1, trained.Level2, core.ScanOptions{ForceLevel2: true}); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // rng derives a fresh stream for one experiment so experiments are
@@ -95,22 +104,21 @@ type fileProbs struct {
 }
 
 // classifyAll runs level 1 (and level 2 for files level 1 reports as
-// transformed) over all files in parallel.
+// transformed) over all files through the batch engine.
 func (r *Runner) classifyAll(files []corpus.File) []fileProbs {
+	return classify(r.scan, files)
+}
+
+// classify scans files on sc and pairs each verdict with its file.
+func classify(sc *core.Scanner, files []corpus.File) []fileProbs {
+	results, _ := sc.ScanBatch(core.Inputs(files))
 	out := make([]fileProbs, len(files))
-	par.For(len(files), 0, func(i int) {
-		f := &files[i]
-		out[i].file = f
-		l1, err := r.Trained.Level1.ClassifyLevel1(f.Source)
-		if err != nil {
-			out[i].err = err
-			return
+	for i, res := range results {
+		out[i] = fileProbs{file: &files[i], level1: res.Level1, err: res.Err}
+		if res.Level2 != nil {
+			out[i].level2 = *res.Level2
 		}
-		out[i].level1 = l1
-		if l1.IsTransformed() {
-			out[i].level2, out[i].err = r.Trained.Level2.ClassifyLevel2(f.Source)
-		}
-	})
+	}
 	return out
 }
 

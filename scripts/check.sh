@@ -29,6 +29,12 @@ go vet ./...
 # reaches it; vetting it type-checks the benchmark, bench_test.go included,
 # against the current API.
 (cd perfbench && go vet ./...)
+# perfbench's own tests: TestFixtureMatchesCoreTrain checks that the
+# benchmark's training fixture writes byte-identical models to core.Train,
+# and the rest pin its verdict-identity and accounting helpers (~32s on 2
+# CPUs).
+echo "== perfbench tests =="
+(cd perfbench && go test -count=1 ./...)
 
 # Project-native static analysis: the five jslint analyzers prove the
 # hot-path/pool/obs/kind/goroutine invariants on every build. The suite is

@@ -73,10 +73,16 @@ type Result struct {
 	AllTechniques []TechniquePrediction
 }
 
-// Analyzer bundles both trained detectors behind one call.
+// Analyzer bundles both trained detectors behind one call. Every call runs
+// the batch scan engine's per-file pipeline on a one-file batch: one parse
+// feeds both detectors and, for ExplainSource, the indicator rules.
 type Analyzer struct {
 	level1 *core.Detector
 	level2 *core.Detector
+	// scan classifies; explain also returns the rules' diagnostics. err is
+	// the scanners' construction error, returned by every call.
+	scan, explain *core.Scanner
+	err           error
 	// TopK bounds the technique report; zero means 4 (the paper's Top-4
 	// with 10% floor for wild studies).
 	TopK int
@@ -84,9 +90,16 @@ type Analyzer struct {
 	Threshold float64
 }
 
-// NewAnalyzer wraps two trained detectors.
+// NewAnalyzer wraps two trained detectors. When they are not a level 1 and
+// a level 2 detector over one feature layout (for example, swapped), every
+// Analyze and Explain call returns the error.
 func NewAnalyzer(level1, level2 *core.Detector) *Analyzer {
-	return &Analyzer{level1: level1, level2: level2}
+	a := &Analyzer{level1: level1, level2: level2}
+	a.scan, a.err = core.NewScanner(level1, level2, core.ScanOptions{Workers: 1})
+	if a.err == nil {
+		a.explain, a.err = core.NewScanner(level1, level2, core.ScanOptions{Workers: 1, Explain: true})
+	}
+	return a
 }
 
 // Level1 exposes the first detector.
@@ -111,26 +124,31 @@ func (a *Analyzer) threshold() float64 {
 
 // AnalyzeSource runs level 1 and, when the script is transformed, level 2.
 func (a *Analyzer) AnalyzeSource(src string) (*Result, error) {
-	l1, err := a.level1.ClassifyLevel1(src)
-	if err != nil {
-		return nil, fmt.Errorf("level 1: %w", err)
+	res, _, err := a.analyze(a.scan, src)
+	return res, err
+}
+
+// analyze scans src as a one-file batch on sc.
+func (a *Analyzer) analyze(sc *core.Scanner, src string) (*Result, []Diagnostic, error) {
+	if a.err != nil {
+		return nil, nil, a.err
+	}
+	out, _ := sc.ScanBatch([]core.Input{{Source: src}})
+	r := out[0]
+	if r.Err != nil {
+		return nil, nil, r.Err
 	}
 	res := &Result{
-		Regular:     l1.Regular,
-		Minified:    l1.Minified,
-		Obfuscated:  l1.Obfuscated,
-		Transformed: l1.IsTransformed(),
+		Regular:     r.Level1.Regular,
+		Minified:    r.Level1.Minified,
+		Obfuscated:  r.Level1.Obfuscated,
+		Transformed: r.Level1.IsTransformed(),
 	}
-	if !res.Transformed {
-		return res, nil
+	if r.Level2 != nil {
+		res.AllTechniques = r.Level2.Ranked
+		res.Techniques = r.Level2.TopK(a.topK(), a.threshold())
 	}
-	l2, err := a.level2.ClassifyLevel2(src)
-	if err != nil {
-		return nil, fmt.Errorf("level 2: %w", err)
-	}
-	res.AllTechniques = l2.Ranked
-	res.Techniques = l2.TopK(a.topK(), a.threshold())
-	return res, nil
+	return res, r.Diagnostics, nil
 }
 
 // Diagnostic re-exports the static indicator finding type.
@@ -140,19 +158,10 @@ type Diagnostic = analysis.Diagnostic
 // needed — and returns attributable findings with source spans.
 func Diagnostics(src string) ([]Diagnostic, error) { return analysis.Analyze(src) }
 
-// ExplainSource analyzes src and additionally runs the static indicator
-// rules, marking which predicted techniques are supported by at least one
-// diagnostic.
+// ExplainSource analyzes src and also returns the static indicator
+// diagnostics, computed over the same parse as the verdict.
 func (a *Analyzer) ExplainSource(src string) (*Result, []Diagnostic, error) {
-	res, err := a.AnalyzeSource(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	diags, err := analysis.Analyze(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, diags, nil
+	return a.analyze(a.explain, src)
 }
 
 // TrainConfig re-exports the pipeline training configuration.

@@ -1,12 +1,15 @@
 package transformdetect
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/js/parser"
 	"repro/internal/ml"
 )
 
@@ -98,6 +101,86 @@ func TestAnalyzeTransformed(t *testing.T) {
 	}
 	if res.Techniques[0].Technique != MinifySimple && res.Techniques[0].Technique != MinifyAdvanced {
 		t.Fatalf("top technique = %v, want minification", res.Techniques[0].Technique)
+	}
+}
+
+// TestAnalyzerRejectsSwappedLevels: a level 2 detector passed as level 1
+// would read technique probabilities as Regular/Minified/Obfuscated, so every
+// call must fail instead of answering.
+func TestAnalyzerRejectsSwappedLevels(t *testing.T) {
+	a := getAnalyzer(t)
+	swapped := NewAnalyzer(a.Level2(), a.Level1())
+	if res, err := swapped.AnalyzeSource(facadeSrc); err == nil {
+		t.Fatalf("swapped detectors analyzed without an error: %+v", res)
+	}
+	if _, _, err := swapped.ExplainSource(facadeSrc); err == nil {
+		t.Fatal("swapped detectors explained without an error")
+	}
+}
+
+// TestAnalyzerMatchesScanBatch: the public API is one more path to the batch
+// engine's answer. Each call costs exactly one parse, and its probabilities,
+// technique ranking and diagnostics equal a jsdetect-configured ScanBatch
+// over the same detectors bit for bit, as does its error on a file that
+// does not parse.
+func TestAnalyzerMatchesScanBatch(t *testing.T) {
+	a := getAnalyzer(t)
+	min, err := Transform(facadeSrc, 5, MinifySimple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ name, src string }{
+		{"regular", facadeSrc},
+		{"transformed", min},
+		{"unparseable", "function ( {{{"},
+	}
+	for _, explain := range []bool{false, true} {
+		sc, err := core.NewScanner(a.Level1(), a.Level2(), core.ScanOptions{Explain: explain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			label := fmt.Sprintf("%s (explain=%v)", c.name, explain)
+			before := parser.Parses()
+			var res *Result
+			var diags []Diagnostic
+			if explain {
+				res, diags, err = a.ExplainSource(c.src)
+			} else {
+				res, err = a.AnalyzeSource(c.src)
+			}
+			if n := parser.Parses() - before; n != 1 {
+				t.Errorf("%s: %d parses, want 1", label, n)
+			}
+			out, _ := sc.ScanBatch([]core.Input{{Source: c.src}})
+			want := out[0]
+			if want.Err != nil {
+				if err == nil || err.Error() != want.Err.Error() {
+					t.Errorf("%s: error %v, ScanBatch %v", label, err, want.Err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			l1 := core.Level1Result{Regular: res.Regular, Minified: res.Minified, Obfuscated: res.Obfuscated}
+			if l1 != want.Level1 || res.Transformed != want.Level1.IsTransformed() {
+				t.Errorf("%s: level 1 %+v (transformed %v), ScanBatch %+v", label, l1, res.Transformed, want.Level1)
+			}
+			var ranked, top []TechniquePrediction
+			if want.Level2 != nil {
+				ranked, top = want.Level2.Ranked, want.Level2.TopK(4, core.DefaultThreshold)
+			}
+			if c.name == "transformed" && ranked == nil {
+				t.Fatalf("%s: not flagged as transformed, so level 2 went unchecked", label)
+			}
+			if !reflect.DeepEqual(res.AllTechniques, ranked) || !reflect.DeepEqual(res.Techniques, top) {
+				t.Errorf("%s: techniques %+v / %+v, ScanBatch %+v / %+v", label, res.AllTechniques, res.Techniques, ranked, top)
+			}
+			if !reflect.DeepEqual(diags, want.Diagnostics) {
+				t.Errorf("%s: diagnostics %+v, ScanBatch %+v", label, diags, want.Diagnostics)
+			}
+		}
 	}
 }
 
