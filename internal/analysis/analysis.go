@@ -107,7 +107,6 @@ type Context struct {
 	// Program is the AST root (always Result.Program when Result is set).
 	Program *ast.Program
 	// Graph is the flow graph; Graph.Scopes carries resolved bindings.
-	// Rules must tolerate a nil Graph or nil Graph.Scopes.
 	Graph *flow.Graph
 
 	statsOnce sync.Once
@@ -309,12 +308,12 @@ func Analyze(src string) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	g := flow.NewSession().Build(res.Program, flow.Options{})
+	g := flow.NewSession().Build(res.Program)
 	return AnalyzeParsed(src, res, g), nil
 }
 
-// AnalyzeParsed runs the default rules over an already-parsed file. g may be
-// nil when no flow graph is available (scope-based rules then skip).
+// AnalyzeParsed runs the default rules over an already-parsed file and its
+// flow graph g, which must not be nil.
 func AnalyzeParsed(src string, res *parser.Result, g *flow.Graph) []Diagnostic {
 	return defaultEngine.Run(&Context{Src: src, Result: res, Program: res.Program, Graph: g})
 }

@@ -220,19 +220,6 @@ compute(data);
 	}
 }
 
-// TestAnalyzeParsedNilGraph ensures scope-based rules degrade gracefully
-// without a flow graph.
-func TestAnalyzeParsedNilGraph(t *testing.T) {
-	res, err := parser.ParseNoTokens(compositeSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := AnalyzeParsed(compositeSource, res, nil)
-	if len(diags) == 0 {
-		t.Fatal("expected diagnostics without a flow graph")
-	}
-}
-
 // TestWithGraphScopes checks the data-flow-assisted sink rule resolves
 // identifier arguments through bindings.
 func TestWithGraphScopes(t *testing.T) {
@@ -240,7 +227,7 @@ func TestWithGraphScopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := flow.NewSession().Build(res.Program, flow.Options{})
+	g := flow.NewSession().Build(res.Program)
 	diags := AnalyzeParsed(compositeSource, res, g)
 	if _, ok := findRule(diags, "dynamic-code-sink"); !ok {
 		t.Errorf("dynamic-code-sink did not resolve eval(_0x78aa) through its binding; got %v", ruleIDs(diags))

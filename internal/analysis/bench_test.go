@@ -41,7 +41,7 @@ func BenchmarkParseFlow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fs.Build(res.Program, flow.Options{})
+		fs.Build(res.Program)
 	}
 }
 
@@ -59,7 +59,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g := fs.Build(res.Program, flow.Options{})
+		g := fs.Build(res.Program)
 		if diags := AnalyzeParsed(src, res, g); len(diags) == 0 {
 			b.Fatal("expected diagnostics on obfuscated sample")
 		}
@@ -74,7 +74,7 @@ func BenchmarkAnalyzeOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := flow.NewSession().Build(res.Program, flow.Options{})
+	g := flow.NewSession().Build(res.Program)
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -31,7 +31,7 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			return
 		}
-		g := flow.NewSession().Build(res.Program, flow.Options{})
+		g := flow.NewSession().Build(res.Program)
 		for _, d := range AnalyzeParsed(src, res, g) {
 			if d.Rule == "" {
 				t.Errorf("diagnostic without rule ID: %+v", d)

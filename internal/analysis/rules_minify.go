@@ -75,9 +75,6 @@ func ruleRenamedIdentifiers() Rule {
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			finish := func() {
-				if ctx.Graph == nil || ctx.Graph.Scopes == nil {
-					return
-				}
 				declared, short := 0, 0
 				var first ast.Span
 				for _, b := range ctx.Graph.Scopes.Bindings {

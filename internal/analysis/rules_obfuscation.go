@@ -350,9 +350,6 @@ func ruleDynamicCodeSink() Rule {
 				}
 			}
 			finish := func() {
-				if ctx.Graph == nil || ctx.Graph.Scopes == nil {
-					return
-				}
 				for _, d := range pending {
 					b := ctx.Graph.Scopes.BindingOf(d.id)
 					if b == nil || b.Init == nil {

@@ -61,7 +61,7 @@ func truncatedSnippetDiagnostics(t *testing.T) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.Default().Run(&analysis.Context{Src: src, Result: res, Program: res.Program, Graph: flow.NewSession().Build(res.Program, flow.Options{})})
+	diags := analysis.Default().Run(&analysis.Context{Src: src, Result: res, Program: res.Program, Graph: flow.NewSession().Build(res.Program)})
 	truncated := false
 	for _, d := range diags {
 		truncated = truncated || strings.HasSuffix(d.Snippet, "…")

@@ -86,7 +86,7 @@ func BenchmarkStageFlow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, res := range results {
-			if g := fs.Build(res.Program, flow.Options{}); g == nil {
+			if g := fs.Build(res.Program); g == nil {
 				b.Fatal("nil graph")
 			}
 		}
@@ -98,7 +98,7 @@ func BenchmarkStageRules(b *testing.B) {
 	inputs, results := parsedBatch(b)
 	graphs := make([]*flow.Graph, len(results))
 	for i, res := range results {
-		graphs[i] = flow.NewSession().Build(res.Program, flow.Options{})
+		graphs[i] = flow.NewSession().Build(res.Program)
 	}
 	b.SetBytes(totalBytes(inputs))
 	b.ResetTimer()
@@ -115,7 +115,7 @@ func BenchmarkStageFeatures(b *testing.B) {
 	graphs := make([]*flow.Graph, len(results))
 	diags := make([][]analysis.Diagnostic, len(results))
 	for i, res := range results {
-		graphs[i] = flow.NewSession().Build(res.Program, flow.Options{})
+		graphs[i] = flow.NewSession().Build(res.Program)
 		diags[i] = analysis.AnalyzeParsed(inputs[i].Source, res, graphs[i])
 	}
 	ex := features.NewExtractor(features.Options{NGramDims: 1024})
@@ -166,7 +166,7 @@ func BenchmarkStageInference(b *testing.B) {
 	ex := features.NewExtractor(features.Options{NGramDims: 1024})
 	vectors := make([][]float64, len(results))
 	for i, res := range results {
-		g := flow.NewSession().Build(res.Program, flow.Options{})
+		g := flow.NewSession().Build(res.Program)
 		vectors[i] = ex.ExtractFull(inputs[i].Source, res, g, nil)
 	}
 	dims := len(vectors[0])

@@ -67,7 +67,7 @@ func TestCollectStatsSingleAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings := flow.NewSession().Build(res.Program, flow.Options{}).Scopes.Bindings
+	bindings := flow.NewSession().Build(res.Program).Scopes.Bindings
 	if st := collectStats(res.Program, bindings); st.arrayFetched == 0 { // warm the pool
 		t.Fatal("probe source no longer fetches from an array binding")
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/scope"
 	"repro/internal/obs"
 )
 
@@ -101,7 +100,7 @@ func (e *Extractor) Names() []string {
 // graph storage is recycled across files. The returned graph aliases fs's
 // storage and is invalidated by fs's next Build.
 func (e *Extractor) FlowSession(fs *flow.Session, res *parser.Result) *flow.Graph {
-	return fs.Build(res.Program, flow.Options{})
+	return fs.Build(res.Program)
 }
 
 // ExtractFull computes the feature vector of a parsed file from its flow
@@ -264,11 +263,7 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 		bytes = 1
 	}
 
-	var bindings []*scope.Binding
-	if g.Scopes != nil {
-		bindings = g.Scopes.Bindings
-	}
-	st := collectStats(prog, bindings)
+	st := collectStats(prog, g.Scopes.Bindings)
 
 	set("ast_depth_per_line", float64(st.depth)/float64(lines))
 	set("ast_breadth_per_line", float64(st.breadth)/float64(lines))
@@ -336,8 +331,8 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 	set("pipe_split_strings", b2f(st.pipeSplit > 0))
 	set("debugger_string_count", capAt(float64(st.debuggerStrings)/4, 1))
 	set("regex_literal_ratio", float64(st.regexCount)/nodes)
-	set("control_edges_per_node", float64(len(g.Control))/nodes)
-	set("data_edges_per_node", float64(len(g.Data))/nodes)
+	set("control_edges_per_node", float64(g.ControlEdges)/nodes)
+	set("data_edges_per_node", float64(g.DataEdges)/nodes)
 	set("function_density", float64(st.funcCount)/nodes)
 	set("empty_catch_count", capAt(float64(st.emptyCatch)/4, 1))
 	set("alnum_char_ratio", text.Alnum)

@@ -4,71 +4,45 @@
 // impact on execution paths — statement nodes, CatchClause, and
 // ConditionalExpression — and data-flow edges connect Identifier nodes only:
 // there is an edge from a definition site to each use site of the same
-// binding. Data-flow construction honors a configurable deadline (the paper
-// uses two minutes); on timeout the graph falls back to control flow only.
+// binding.
 //
-// Construction is one fused traversal: scope.Session.AnalyzeFlow emits the
-// control edges while it resolves scopes (what used to be two walks), and
-// the data edges are then read straight off the binding list. A Session
-// draws all edge and scope storage from per-session pools, so every caller
-// holds one: a scan worker for its whole run, a one-shot caller for one
-// Build.
+// The graph carries edge counts, not edge lists: the detector reads only
+// how many control and data edges a file has. Construction is one fused
+// traversal: scope.Session.AnalyzeFlow counts the control edges while it
+// resolves scopes, and the data edges are the declared bindings' reference
+// counts. Work is linear in the tree, so the paper's two-minute data-flow
+// deadline (§III-A) is not reproduced (see DESIGN.md). A Session draws all
+// scope storage from per-session pools, so every caller holds one: a scan
+// worker for its whole run, a one-shot caller for one Build.
 package flow
 
 import (
-	"time"
-
 	"repro/internal/js/ast"
 	"repro/internal/js/scope"
 	"repro/internal/obs"
 )
 
-// Edge is a directed edge between two AST nodes. It is an alias for
-// scope.Edge: the fused walk emits control edges during scope analysis, so
-// the type lives in the lower layer.
-type Edge = scope.Edge
-
 // Graph is the AST enhanced with control and data flows.
 type Graph struct {
-	Root *ast.Program
-	// Control edges between control-flow-relevant nodes.
-	Control []Edge
-	// Data edges from definition Identifiers to use Identifiers.
-	Data []Edge
 	// Scopes is the scope analysis the data flow was derived from.
 	Scopes *scope.Info
-	// DataFlowTimedOut reports that the data-flow pass hit its deadline and
-	// the graph contains control flow only.
-	DataFlowTimedOut bool
+	// ControlEdges counts edges between control-flow-relevant nodes.
+	ControlEdges int
+	// DataEdges counts edges from definition Identifiers to use
+	// Identifiers.
+	DataEdges int
 }
 
-// Options configures graph construction.
-type Options struct {
-	// DataFlowDeadline bounds data-flow construction; zero means the
-	// paper's default of two minutes.
-	DataFlowDeadline time.Duration
-}
-
-// DefaultDataFlowDeadline matches the two-minute timeout from the paper.
-const DefaultDataFlowDeadline = 2 * time.Minute
-
-// dataFlowCheckEvery is the number of data edges between deadline checks.
-// It is a plain edges-since-last-check counter: the old sampling scheme
-// (len(Data)%4096 == 0) never fired for files whose per-binding ref bursts
-// stepped over the multiple, leaving the deadline unenforced.
-const dataFlowCheckEvery = 4096
-
-// Session is a reusable graph builder. It owns a scope.Session plus pooled
-// edge storage, so a scan worker that flows many files pays steady-state
-// zero allocations for graph construction.
+// Session is a reusable graph builder. It owns a scope.Session, so a scan
+// worker that flows many files pays steady-state zero allocations for graph
+// construction.
 //
 // Ownership contract (mirroring parser.Session): the Graph returned by
 // Build aliases session storage and is valid only until the next Build on
 // the same Session. Sessions are not safe for concurrent use.
 type Session struct {
-	sc   *scope.Session
-	data []Edge
-	g    Graph
+	sc *scope.Session
+	g  Graph
 }
 
 // NewSession returns an empty flow session.
@@ -81,60 +55,22 @@ func NewSession() *Session {
 // unstamped trees); a tree mutated after stamping must be re-stamped first
 // (see DESIGN.md "Dense node plane"). The result is invalidated by the
 // next Build on the same Session.
-func (s *Session) Build(prog *ast.Program, opts Options) *Graph {
+func (s *Session) Build(prog *ast.Program) *Graph {
 	defer obs.Time("flow.build")()
-	deadline := opts.DataFlowDeadline
-	if deadline <= 0 {
-		deadline = DefaultDataFlowDeadline
-	}
-	start := time.Now()
 	info, control := s.sc.AnalyzeFlow(prog)
-	g := &s.g
-	*g = Graph{Root: prog, Control: control, Scopes: info}
-	// One deadline check covers the fused walk itself; inside the edge loop
-	// the counter below takes over.
-	if time.Since(start) > deadline {
-		g.DataFlowTimedOut = true
-		flushStats(g)
-		return g
-	}
-	s.data = s.data[:0]
-	sinceCheck := 0
+	data := 0
 	for _, b := range info.Bindings {
-		if b.Decl == nil {
-			continue
-		}
-		for _, ref := range b.Refs {
-			s.data = append(s.data, Edge{From: b.Decl, To: ref})
-		}
-		sinceCheck += len(b.Refs)
-		if sinceCheck >= dataFlowCheckEvery {
-			sinceCheck = 0
-			if time.Since(start) > deadline {
-				s.data = s.data[:0]
-				g.DataFlowTimedOut = true
-				flushStats(g)
-				return g
-			}
+		if b.Decl != nil {
+			data += len(b.Refs)
 		}
 	}
-	g.Data = s.data
-	flushStats(g)
-	return g
-}
-
-// flushStats records one built graph into the obs registry (no-ops when
-// metrics are disabled).
-func flushStats(g *Graph) {
-	if !obs.Enabled() {
-		return
+	s.g = Graph{Scopes: info, ControlEdges: control, DataEdges: data}
+	if obs.Enabled() {
+		obs.Add("flow.graphs", 1)
+		obs.Add("flow.walk.fused", 1)
+		obs.Add("flow.control_edges", int64(control))
+		obs.Add("flow.data_edges", int64(data))
+		obs.Add("flow.scope.bindings", int64(len(info.Bindings)))
 	}
-	obs.Add("flow.graphs", 1)
-	obs.Add("flow.walk.fused", 1)
-	obs.Add("flow.control_edges", int64(len(g.Control)))
-	obs.Add("flow.data_edges", int64(len(g.Data)))
-	obs.Add("flow.scope.bindings", int64(len(g.Scopes.Bindings)))
-	if g.DataFlowTimedOut {
-		obs.Add("flow.dataflow_timeouts", 1)
-	}
+	return &s.g
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"time"
-
 	"repro/internal/corpus"
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
@@ -14,9 +12,10 @@ import (
 	"repro/internal/transform"
 )
 
-// Structural invariants of the enhanced graph, checked over generated
-// corpus programs (regular and transformed): every edge connects two nodes
-// of the graph's own Program, no edge dangles or repeats, and building is
+// Invariants of the enhanced graph, checked over generated corpus programs
+// (regular and transformed): both counts equal the reference builders',
+// every counted data edge joins two distinct Identifier nodes of the
+// graph's own Program with no pair counted twice, and building is
 // idempotent — the graph is derived from the AST without mutating it.
 
 // programNodes collects the node set of a program.
@@ -29,66 +28,53 @@ func programNodes(prog *ast.Program) map[ast.Node]bool {
 	return nodes
 }
 
-// checkGraphInvariants asserts the structural invariants of g against the
-// program it claims to enhance.
+// checkGraphInvariants asserts the invariants of g against the program it
+// claims to enhance.
 func checkGraphInvariants(t *testing.T, g *Graph, prog *ast.Program, label string) {
 	t.Helper()
-	if g.Root != prog {
-		t.Fatalf("%s: graph root is not the built program", label)
+	control, data := refCounts(prog)
+	if g.ControlEdges != control || g.DataEdges != data {
+		t.Fatalf("%s: counts (%d control, %d data), reference (%d, %d)",
+			label, g.ControlEdges, g.DataEdges, control, data)
 	}
 	nodes := programNodes(prog)
-	seenControl := make(map[[2]ast.Node]bool, len(g.Control))
-	for i, e := range g.Control {
-		if e.From == nil || e.To == nil {
-			t.Fatalf("%s: control edge %d has nil endpoint", label, i)
+	seen := make(map[[2]*ast.Identifier]bool, g.DataEdges)
+	for _, b := range g.Scopes.Bindings {
+		if b.Decl == nil {
+			continue
 		}
-		if !nodes[e.From] || !nodes[e.To] {
-			t.Fatalf("%s: control edge %d (%T -> %T) leaves the program's node set",
-				label, i, e.From, e.To)
+		if !nodes[b.Decl] {
+			t.Fatalf("%s: binding %q declared outside the program's node set", label, b.Name)
 		}
-		key := [2]ast.Node{e.From, e.To}
-		if seenControl[key] {
-			t.Fatalf("%s: duplicate control edge %d (%T -> %T)", label, i, e.From, e.To)
+		for _, ref := range b.Refs {
+			// Data flow connects Identifier nodes only (paper's adjustment).
+			if !nodes[ref] {
+				t.Fatalf("%s: reference to %q leaves the program's node set", label, b.Name)
+			}
+			if ref == b.Decl {
+				t.Fatalf("%s: data edge of %q is a self loop", label, b.Name)
+			}
+			key := [2]*ast.Identifier{b.Decl, ref}
+			if seen[key] {
+				t.Fatalf("%s: duplicate data edge of %q", label, b.Name)
+			}
+			seen[key] = true
 		}
-		seenControl[key] = true
 	}
-	seenData := make(map[[2]ast.Node]bool, len(g.Data))
-	for i, e := range g.Data {
-		if e.From == nil || e.To == nil {
-			t.Fatalf("%s: data edge %d has nil endpoint", label, i)
-		}
-		if !nodes[e.From] || !nodes[e.To] {
-			t.Fatalf("%s: data edge %d leaves the program's node set", label, i)
-		}
-		// Data flow connects Identifier nodes only (paper's adjustment).
-		if _, ok := e.From.(*ast.Identifier); !ok {
-			t.Fatalf("%s: data edge %d From is %T, want *ast.Identifier", label, i, e.From)
-		}
-		if _, ok := e.To.(*ast.Identifier); !ok {
-			t.Fatalf("%s: data edge %d To is %T, want *ast.Identifier", label, i, e.To)
-		}
-		if e.From == e.To {
-			t.Fatalf("%s: data edge %d is a self loop", label, i)
-		}
-		key := [2]ast.Node{e.From, e.To}
-		if seenData[key] {
-			t.Fatalf("%s: duplicate data edge %d", label, i)
-		}
-		seenData[key] = true
+	if len(seen) != g.DataEdges {
+		t.Fatalf("%s: %d data edges counted, %d def→use pairs in Scopes", label, g.DataEdges, len(seen))
 	}
 }
 
-// edgesEqual compares two edge slices for identical content and order.
-func edgesEqual(a, b []Edge) bool {
-	if len(a) != len(b) {
-		return false
+// checkIdempotent rebuilds prog with a fresh session and requires the same
+// counts, so the first build did not mutate the program.
+func checkIdempotent(t *testing.T, g *Graph, prog *ast.Program) {
+	t.Helper()
+	g2 := NewSession().Build(prog)
+	if g2.ControlEdges != g.ControlEdges || g2.DataEdges != g.DataEdges {
+		t.Fatalf("second build changed counts: (%d, %d) vs (%d, %d)",
+			g.ControlEdges, g.DataEdges, g2.ControlEdges, g2.DataEdges)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestGraphInvariantsOverCorpus(t *testing.T) {
@@ -101,26 +87,12 @@ func TestGraphInvariantsOverCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("corpus generator emitted unparseable JS: %v", err)
 			}
-			g := NewSession().Build(prog, Options{})
+			g := NewSession().Build(prog)
 			checkGraphInvariants(t, g, prog, "regular")
-			if len(g.Control) == 0 {
+			if g.ControlEdges == 0 {
 				t.Fatal("generated program produced no control edges")
 			}
-			if g.Scopes == nil {
-				t.Fatal("data-flow build left Scopes nil")
-			}
-
-			// Idempotence: a second build over the same AST is identical,
-			// proving the first build did not mutate the program.
-			g2 := NewSession().Build(prog, Options{})
-			if !edgesEqual(g.Control, g2.Control) {
-				t.Fatalf("second build changed control edges: %d vs %d",
-					len(g.Control), len(g2.Control))
-			}
-			if !edgesEqual(g.Data, g2.Data) {
-				t.Fatalf("second build changed data edges: %d vs %d",
-					len(g.Data), len(g2.Data))
-			}
+			checkIdempotent(t, g, prog)
 		})
 	}
 }
@@ -142,12 +114,9 @@ func TestGraphInvariantsOverTransforms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("transformed source unparseable: %v", err)
 			}
-			g := NewSession().Build(prog, Options{})
+			g := NewSession().Build(prog)
 			checkGraphInvariants(t, g, prog, tech.String())
-			g2 := NewSession().Build(prog, Options{})
-			if !edgesEqual(g.Control, g2.Control) || !edgesEqual(g.Data, g2.Data) {
-				t.Fatal("rebuild over transformed program not idempotent")
-			}
+			checkIdempotent(t, g, prog)
 		})
 	}
 }
@@ -172,51 +141,19 @@ var i = (() => shortArrow)();
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewSession().Build(prog, Options{})
+	g := NewSession().Build(prog)
 	checkGraphInvariants(t, g, prog, "terminators")
-	// No control edge may originate at a terminator statement's sequential
-	// successor position: find edges whose From is a ThrowStatement — the
-	// only edge into `unreachable()` would be throw -> expr, which the
-	// builder must not create.
-	for _, e := range g.Control {
-		if _, ok := e.From.(*ast.ThrowStatement); ok {
-			t.Fatalf("control edge leaves a throw statement into %T", e.To)
-		}
-		if _, ok := e.From.(*ast.BreakStatement); ok {
-			t.Fatalf("control edge leaves a break statement into %T", e.To)
-		}
+	// Top level: Program→f→for→g→h→i (5). f: f→body, body→if,
+	// if→block→return, if→throw, and body→unreachable() — the throw cuts
+	// the chain, so the statement after it hangs off the body, not the
+	// throw (6). for: for→body, the back edge, body→if→after(),
+	// if→break, if→continue (6). The IIFE and the block arrow each add
+	// fn→body→return (2 + 2); the expression arrow adds none. Data: the
+	// one use of c.
+	if g.ControlEdges != 21 {
+		t.Errorf("control edges = %d, want 21", g.ControlEdges)
 	}
-	// The IIFE and arrow bodies must participate in control flow: at least
-	// one edge originates at each function-expression body.
-	var fnBodies int
-	for _, e := range g.Control {
-		switch e.From.(type) {
-		case *ast.FunctionExpression, *ast.ArrowFunctionExpression:
-			fnBodies++
-		}
-	}
-	if fnBodies < 2 {
-		t.Fatalf("function/arrow expression bodies wired %d times, want >= 2", fnBodies)
-	}
-}
-
-// TestGraphInvariantsControlFlowOnly checks the timeout fallback path keeps
-// the same control-flow invariants.
-func TestGraphInvariantsControlFlowOnly(t *testing.T) {
-	src := corpus.GenerateRegular(rand.New(rand.NewSource(9)))
-	prog, err := parser.ParseProgram(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 1ns deadline has expired by the time the post-walk check runs
-	// (negative/zero deadlines mean "use the default", so the smallest
-	// positive duration is the way to force the fallback).
-	g := NewSession().Build(prog, Options{DataFlowDeadline: time.Nanosecond})
-	checkGraphInvariants(t, g, prog, "expired-deadline")
-	if !g.DataFlowTimedOut {
-		t.Fatal("expired deadline did not set DataFlowTimedOut")
-	}
-	if len(g.Data) != 0 {
-		t.Fatalf("timed-out graph carries %d data edges", len(g.Data))
+	if g.DataEdges != 1 {
+		t.Errorf("data edges = %d, want 1", g.DataEdges)
 	}
 }

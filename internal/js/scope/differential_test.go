@@ -104,10 +104,11 @@ func compareBinding(t *testing.T, name string, ref *refspec.Binding, got *scope.
 	}
 }
 
-func compareAnalyses(t *testing.T, name string, prog *ast.Program) {
+// compareAnalyses checks got, the fused analysis of prog, against the
+// refspec analysis of the same tree.
+func compareAnalyses(t *testing.T, name string, prog *ast.Program, got *scope.Info) {
 	t.Helper()
 	ref := refspec.Analyze(prog)
-	got := scope.Analyze(prog)
 	if len(got.Bindings) != len(ref.Bindings) {
 		t.Fatalf("%s: %d bindings, refspec %d", name, len(got.Bindings), len(ref.Bindings))
 	}
@@ -145,29 +146,34 @@ func TestFusedAnalyzerMatchesRefspec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", f.Name, err)
 		}
-		compareAnalyses(t, fmt.Sprintf("%s#%d", f.Name, i), res.Program)
+		compareAnalyses(t, fmt.Sprintf("%s#%d", f.Name, i), res.Program, scope.Analyze(res.Program))
 	}
 }
 
 // TestFusedAnalyzerMatchesRefspecSessioned runs the same differential through
-// one reused Session (the scan-worker shape) — storage recycling across files
-// must never leak one file's state into the next.
+// one reused Session (the scan-worker shape), once through Analyze and once
+// through AnalyzeFlow, the flow layer's entry point — storage recycling
+// across files must never leak one file's state into the next.
 func TestFusedAnalyzerMatchesRefspecSessioned(t *testing.T) {
-	s := scope.NewSession()
-	for i, f := range diffFixtures(t) {
-		res, err := parser.ParseNoTokens(f.Source)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", f.Name, err)
-		}
-		name := fmt.Sprintf("%s#%d", f.Name, i)
-		ref := refspec.Analyze(res.Program)
-		got := s.Analyze(res.Program)
-		if len(got.Bindings) != len(ref.Bindings) {
-			t.Fatalf("%s: %d bindings, refspec %d", name, len(got.Bindings), len(ref.Bindings))
-		}
-		for j := range got.Bindings {
-			compareBinding(t, name, ref.Bindings[j], got.Bindings[j])
-		}
-		compareScopes(t, name, ref.Global, got.Global)
+	for _, entry := range []struct {
+		name    string
+		analyze func(*scope.Session, *ast.Program) *scope.Info
+	}{
+		{"Analyze", (*scope.Session).Analyze},
+		{"AnalyzeFlow", func(s *scope.Session, prog *ast.Program) *scope.Info {
+			info, _ := s.AnalyzeFlow(prog)
+			return info
+		}},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			s := scope.NewSession()
+			for i, f := range diffFixtures(t) {
+				res, err := parser.ParseNoTokens(f.Source)
+				if err != nil {
+					t.Fatalf("%s: parse: %v", f.Name, err)
+				}
+				compareAnalyses(t, fmt.Sprintf("%s#%d", f.Name, i), res.Program, entry.analyze(s, res.Program))
+			}
+		})
 	}
 }

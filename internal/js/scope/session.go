@@ -6,16 +6,15 @@ import (
 
 // Session is a reusable scope analyzer. A Session analyzes one program at a
 // time and recycles every piece of working storage across runs — the dense
-// resolution table, the scope and binding slabs, the reference store, and
-// the control-edge buffer — so a scan worker that analyzes many files pays
-// steady-state zero allocations for the whole scope/flow plane.
+// resolution table, the scope and binding slabs, and the reference store —
+// so a scan worker that analyzes many files pays steady-state zero
+// allocations for the whole scope/flow plane.
 //
 // Hard reset contract (mirroring parser.Session): reset re-arms every slab
 // and buffer before a run, and the Info returned by Analyze/AnalyzeFlow
 // aliases that storage — it is valid only until the next call on the same
-// Session. Copy with Info.Detach to keep results longer. The zero value is
-// NOT ready to use; call NewSession. Sessions are not safe for concurrent
-// use.
+// Session. The zero value is NOT ready to use; call NewSession. Sessions are
+// not safe for concurrent use.
 type Session struct {
 	a analyzer
 }
@@ -35,23 +34,23 @@ func (s *Session) Analyze(prog *ast.Program) *Info {
 		s.a.stamper = ast.NewIDStamper()
 	}
 	s.a.stamper.StampIDs(prog)
-	return s.a.run(prog, false)
+	return s.a.run(prog)
 }
 
-// AnalyzeFlow is the fused entry point for the flow layer: one walk that
-// both analyzes scopes and emits control-flow edges. It trusts an existing
-// stamping (Program.NodeCount > 0) and stamps only unstamped trees — the
-// parser stamps every tree it produces, so the steady-state path never
-// re-walks. Both returned values alias session storage and are invalidated
+// AnalyzeFlow is the flow layer's entry point: the same walk as Analyze,
+// returning the number of control-flow edges it counted as well. It trusts
+// an existing stamping (Program.NodeCount > 0) and stamps only unstamped
+// trees — the parser stamps every tree it produces, so the steady-state
+// path never re-walks. The Info aliases session storage and is invalidated
 // by the next call.
-func (s *Session) AnalyzeFlow(prog *ast.Program) (*Info, []Edge) {
+func (s *Session) AnalyzeFlow(prog *ast.Program) (*Info, int) {
 	if prog.NodeCount == 0 {
 		if s.a.stamper == nil {
 			s.a.stamper = ast.NewIDStamper()
 		}
 		s.a.stamper.StampIDs(prog)
 	}
-	info := s.a.run(prog, true)
+	info := s.a.run(prog)
 	return info, s.a.control
 }
 
@@ -63,9 +62,9 @@ type refPair struct {
 }
 
 // analyzer holds the session storage plus the walk state of the run in
-// progress. The walk state (sc, wire, collectControl) lives in fields
-// rather than parameters so the default-descent hook can be a pre-bound
-// func field instead of a per-node closure.
+// progress. The walk state (sc, wire, control) lives in fields rather than
+// parameters so the default-descent hook can be a pre-bound func field
+// instead of a per-node closure.
 type analyzer struct {
 	// Pooled storage, reset per run.
 	resolved    []*Binding
@@ -73,30 +72,27 @@ type analyzer struct {
 	refStore    []*ast.Identifier
 	unresolved  []*ast.Identifier
 	bindings    []*Binding
-	scopeList   []*Scope
-	control     []Edge
 	scopes      scopeSlab
 	bindingSlab bindingSlab
 	stamper     *ast.IDStamper
 
 	// Walk state.
-	sc             *Scope
-	wire           bool
-	collectControl bool
-	descend        func(ast.Node)
-	info           *Info
+	sc      *Scope
+	wire    bool
+	control int // control-flow edges counted so far
+	descend func(ast.Node)
+	info    *Info
 }
 
 // run performs the fused walk and assembles the Info.
-func (a *analyzer) run(prog *ast.Program, collectControl bool) *Info {
+func (a *analyzer) run(prog *ast.Program) *Info {
 	a.reset(int(prog.NodeCount))
-	a.collectControl = collectControl
 	info := &Info{}
 	a.info = info
 	global := a.newScope(prog, true)
 	info.Global = global
 	a.sc = global
-	a.wire = collectControl
+	a.wire = true
 	// Pass 1 over the top level: hoist declarations so forward references
 	// resolve. Nested function bodies run their own pass 1 when the walk
 	// reaches them, exactly like the refspec analyzer.
@@ -106,7 +102,6 @@ func (a *analyzer) run(prog *ast.Program, collectControl bool) *Info {
 	info.Bindings = a.bindings
 	info.Unresolved = a.unresolved
 	info.resolved = a.resolved
-	info.scopes = a.scopeList
 	a.sc = nil
 	a.info = nil
 	return info
@@ -128,20 +123,16 @@ func (a *analyzer) reset(n int) {
 	a.refPairs = a.refPairs[:0]
 	a.unresolved = a.unresolved[:0]
 	a.bindings = a.bindings[:0]
-	a.scopeList = a.scopeList[:0]
-	a.control = a.control[:0]
+	a.control = 0
 	a.scopes.reset()
 	a.bindingSlab.reset()
 }
 
-// newScope allocates a scope from the slab and registers it in creation
-// order.
+// newScope allocates a scope from the slab.
 func (a *analyzer) newScope(node ast.Node, isFunc bool) *Scope {
 	sc := a.scopes.alloc()
 	sc.Node = node
 	sc.IsFunction = isFunc
-	sc.idx = int32(len(a.scopeList))
-	a.scopeList = append(a.scopeList, sc)
 	return sc
 }
 
@@ -176,7 +167,6 @@ func (a *analyzer) declare(sc *Scope, id *ast.Identifier, kind BindingKind, init
 	b.Kind = kind
 	b.Scope = target
 	b.Init = init
-	b.idx = int32(len(a.bindings))
 	target.insert(b)
 	a.bindings = append(a.bindings, b)
 	return b
@@ -217,7 +207,7 @@ func (a *analyzer) recordRef(b *Binding, id *ast.Identifier) {
 	b.refLen++
 }
 
-// edge appends one control edge (nil endpoints are skipped, matching the
+// edge counts one control edge (nil endpoints are skipped, matching the
 // original cfg builder).
 //
 //jslint:hotpath
@@ -225,15 +215,15 @@ func (a *analyzer) edge(from, to ast.Node) {
 	if from == nil || to == nil {
 		return
 	}
-	a.control = append(a.control, Edge{From: from, To: to})
+	a.control++
 }
 
-// edgeIfWired appends a control edge only when the walk is in a wired
+// edgeIfWired counts a control edge only when the walk is in a wired
 // control region.
 //
 //jslint:hotpath
 func (a *analyzer) edgeIfWired(from, to ast.Node) {
-	if a.collectControl && a.wire {
+	if a.wire {
 		a.edge(from, to)
 	}
 }
@@ -315,7 +305,6 @@ func (s *scopeSlab) reset() {
 			sc.Children = sc.Children[:0]
 			sc.IsFunction = false
 			sc.bindings = sc.bindings[:0]
-			sc.idx = 0
 			if sc.byName != nil {
 				clear(sc.byName)
 			}

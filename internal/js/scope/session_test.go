@@ -11,8 +11,7 @@ import (
 
 // Session-poisoning tests for the scope session itself (the flow package
 // has its own suite for the layer above): recycled slabs and buffers must
-// never leak one file's analysis into the next, and Detach must produce an
-// Info that survives the session moving on.
+// never leak one file's analysis into the next.
 
 // TestScopeSessionReuseMatchesFresh re-analyzes each file with a session
 // that just processed a different file and requires identical results to a
@@ -48,72 +47,5 @@ func TestScopeSessionReuseMatchesFresh(t *testing.T) {
 		if len(got.Unresolved) != len(want.Unresolved) {
 			t.Fatalf("%s: %d unresolved, fresh %d", f.Name, len(got.Unresolved), len(want.Unresolved))
 		}
-	}
-}
-
-// TestScopeInfoDetachOutlivesSession analyzes one file, detaches the Info,
-// churns the session through other files, and then checks the detached copy
-// against a fresh analysis — bindings, refs, scope tree, and the dense
-// resolution table must all have survived the storage reuse.
-func TestScopeInfoDetachOutlivesSession(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	files := corpus.RegularSet(3, rng)
-	res, err := parser.ParseNoTokens(files[0].Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := scope.NewSession()
-	detached := s.Analyze(res.Program).Detach()
-	want := scope.Analyze(res.Program)
-
-	for _, f := range files[1:] {
-		other, err := parser.ParseNoTokens(f.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Analyze(other.Program)
-	}
-
-	if len(detached.Bindings) != len(want.Bindings) {
-		t.Fatalf("detached Info has %d bindings, fresh %d", len(detached.Bindings), len(want.Bindings))
-	}
-	for i, wb := range want.Bindings {
-		db := detached.Bindings[i]
-		if db.Name != wb.Name || db.Decl != wb.Decl || db.Kind != wb.Kind || db.Init != wb.Init {
-			t.Fatalf("detached binding %d (%q) diverged after session reuse", i, wb.Name)
-		}
-		if len(db.Refs) != len(wb.Refs) {
-			t.Fatalf("detached binding %q has %d refs, fresh %d", wb.Name, len(db.Refs), len(wb.Refs))
-		}
-		for j := range wb.Refs {
-			if db.Refs[j] != wb.Refs[j] {
-				t.Fatalf("detached binding %q ref %d diverged", wb.Name, j)
-			}
-			if got := detached.BindingOf(wb.Refs[j]); got == nil || got.Name != wb.Name {
-				t.Fatalf("detached BindingOf(%q ref %d) = %v", wb.Name, j, got)
-			}
-		}
-		// The detached scope tree must point back at the detached bindings,
-		// not the session's recycled ones.
-		if db.Scope == nil || db.Scope.Node != wb.Scope.Node {
-			t.Fatalf("detached binding %q lost its scope", wb.Name)
-		}
-		if found := db.Scope.Binding(db.Name); found != db {
-			t.Fatalf("detached scope lookup for %q returned %p, want the detached binding %p", db.Name, found, db)
-		}
-	}
-	if len(detached.Unresolved) != len(want.Unresolved) {
-		t.Fatalf("detached Info has %d unresolved, fresh %d", len(detached.Unresolved), len(want.Unresolved))
-	}
-	var countScopes func(sc *scope.Scope) int
-	countScopes = func(sc *scope.Scope) int {
-		n := 1
-		for _, c := range sc.Children {
-			n += countScopes(c)
-		}
-		return n
-	}
-	if got, wantN := countScopes(detached.Global), countScopes(want.Global); got != wantN {
-		t.Fatalf("detached scope tree has %d scopes, fresh %d", got, wantN)
 	}
 }

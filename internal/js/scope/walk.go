@@ -7,8 +7,9 @@ import (
 // This file is the fused walk: one traversal that does what the refspec
 // analyzer's reference-resolution walk and the flow package's control-edge
 // walk used to do separately. Scope behavior must stay identical to
-// internal/js/scope/refspec; control behavior must stay identical to the
-// original cfg builder preserved in internal/flow's differential test.
+// internal/js/scope/refspec; the control-edge count must stay identical to
+// the edge count of the original cfg builder preserved in internal/flow's
+// differential test.
 //
 // Control wiring is tracked by the analyzer's wire flag, which replicates
 // the reachability of the old builder's funcBodies walk: statements are
@@ -27,7 +28,7 @@ import (
 // edges (parent→first, prev→next, with terminating statements breaking the
 // chain) when the region is wired.
 func (a *analyzer) visitStmts(parent ast.Node, stmts []ast.Node) {
-	if a.collectControl && a.wire {
+	if a.wire {
 		var prev ast.Node
 		for _, s := range stmts {
 			if prev == nil {
@@ -64,7 +65,7 @@ func terminates(s ast.Node) bool {
 	}
 }
 
-// visit resolves references and emits control edges for n within the
+// visit resolves references and counts control edges for n within the
 // current scope (a.sc) and wiring region (a.wire), creating child scopes as
 // it descends. Cases that have neither scope nor control behavior fall
 // through to a plain EachChild descent via the pre-bound a.descend hook.
@@ -258,10 +259,8 @@ func (a *analyzer) visit(n ast.Node) {
 		// Ternaries participate in control flow wherever they appear — the
 		// old builder collected them in a full-tree walk, so this is not
 		// gated on the wire flag.
-		if a.collectControl {
-			a.edge(v, v.Consequent)
-			a.edge(v, v.Alternate)
-		}
+		a.edge(v, v.Consequent)
+		a.edge(v, v.Alternate)
 		a.visit(v.Test)
 		a.visit(v.Consequent)
 		a.visit(v.Alternate)

@@ -32,9 +32,8 @@ var Metrics = []Metric{
 	{Name: "features.extract", Kind: "histogram", Unit: UnitNanoseconds, Help: "per-file feature extraction time"},
 	{Name: "features.vectors", Kind: "counter", Help: "feature vectors extracted"},
 	{Name: "flow.build", Kind: "histogram", Unit: UnitNanoseconds, Help: "per-file flow graph construction time"},
-	{Name: "flow.control_edges", Kind: "counter", Help: "control-flow edges built"},
-	{Name: "flow.data_edges", Kind: "counter", Help: "data-flow edges built"},
-	{Name: "flow.dataflow_timeouts", Kind: "counter", Help: "flow builds that hit the data-flow deadline"},
+	{Name: "flow.control_edges", Kind: "counter", Help: "control-flow edges counted"},
+	{Name: "flow.data_edges", Kind: "counter", Help: "data-flow edges counted"},
 	{Name: "flow.graphs", Kind: "counter", Help: "flow graphs built"},
 	{Name: "flow.scope.bindings", Kind: "counter", Help: "bindings resolved by the fused scope walk"},
 	{Name: "flow.walk.fused", Kind: "counter", Help: "fused scope+control traversals (one per flow build)"},

@@ -117,7 +117,7 @@ check_floor() {
     printf '%-28s %6s%%  (floor %s%%)\n' "$pkg" "$cov" "$floor"
 }
 check_floor ./internal/js/interp 80
-check_floor ./internal/flow      75
+check_floor ./internal/flow      90
 check_floor ./internal/js/scope  75
 # The two packages the allocation overhaul rewrote: the floors keep the
 # pooled/zero-alloc paths and the dedup cache from shedding tests.
