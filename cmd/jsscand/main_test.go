@@ -31,7 +31,7 @@ func writeTinyModels(t *testing.T, dir string) {
 	featOpts := features.Options{}
 	fp := ml.Fingerprint{
 		NGramDims:    uint32(featOpts.Dims()),
-		NGramLen:     uint32(featOpts.NGramLength()),
+		NGramLen:     features.NGramLen,
 		RuleFeatures: featOpts.RuleFeatures,
 	}
 	l2labels := make([]string, len(transform.Techniques))

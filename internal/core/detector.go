@@ -228,7 +228,7 @@ func trainDetector(files []corpus.File, labels []string, labelRow func(*corpus.F
 func fingerprint(o features.Options) ml.Fingerprint {
 	return ml.Fingerprint{
 		NGramDims:    uint32(o.Dims()),
-		NGramLen:     uint32(o.NGramLength()),
+		NGramLen:     features.NGramLen,
 		RuleFeatures: o.RuleFeatures,
 	}
 }

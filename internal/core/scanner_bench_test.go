@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/features"
+	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -123,7 +124,11 @@ func BenchmarkScanBatchDupesDedup(b *testing.B) {
 		if stats.ParseFailures != 0 {
 			b.Fatalf("parse failures: %d", stats.ParseFailures)
 		}
-		if want := len(inputs) * 3 / 4; stats.Deduped < want {
+		// Concurrent misses on the same content both compute (the cache
+		// stores completed results only), so a copy claimed while an
+		// earlier copy is still in flight misses too: allow one such miss
+		// per helper worker.
+		if want := len(inputs)*3/4 - (par.Size(0, len(inputs)) - 1); stats.Deduped < want {
 			b.Fatalf("Deduped = %d, want >= %d", stats.Deduped, want)
 		}
 	}

@@ -21,8 +21,6 @@ type Options struct {
 	// NGramDims is the size of the hashed 4-gram bucket space. Zero means
 	// the default of 1024.
 	NGramDims int
-	// NGramLen is the n-gram window length; zero means the paper's 4.
-	NGramLen int
 	// RuleFeatures appends one dimension per static-analysis rule
 	// (internal/analysis) carrying that rule's capped diagnostic count, so
 	// the forests can consume the same explainable signals. Opt-in: it
@@ -38,20 +36,9 @@ func (o Options) dims() int {
 	return o.NGramDims
 }
 
-func (o Options) ngramLen() int {
-	if o.NGramLen <= 0 {
-		return 4
-	}
-	return o.NGramLen
-}
-
 // Dims returns the effective n-gram bucket count with the default applied.
 // Model files embed it as part of the layout fingerprint.
 func (o Options) Dims() int { return o.dims() }
-
-// NGramLength returns the effective n-gram window length with the default
-// applied.
-func (o Options) NGramLength() int { return o.ngramLen() }
 
 // Vector is a dense feature vector.
 type Vector []float64
@@ -123,39 +110,76 @@ func (e *Extractor) ExtractFull(src string, res *parser.Result, g *flow.Graph, d
 	return vec
 }
 
-// ngramFeatures hashes sliding windows over the pre-order sequence of AST
-// node types into the bucket space and stores normalized frequencies.
+// NGramLen is the n-gram window length. The paper fixes it at 4; model files
+// still record it in their fingerprint.
+const NGramLen = 4
+
+// ngramFeatures' per-call window memo has 1<<ngramMemoBits slots.
+const (
+	ngramMemoBits  = 12
+	ngramMemoSlots = 1 << ngramMemoBits
+)
+
+// The memo packs a window's four kinds 8 bits each into one uint32 key, so
+// the build fails here once ast.KindCount outgrows 8 bits.
+var _ [256 - ast.KindCount]struct{}
+
+// ngramMemoSlot maps a packed window key to its memo slot.
+func ngramMemoSlot(key uint32) uint32 {
+	return key * 0x9E3779B1 >> (32 - ngramMemoBits)
+}
+
+// ngramFeatures hashes sliding 4-gram windows over the pre-order sequence of
+// AST node types into the bucket space and stores normalized frequencies.
 //
 // This is the hottest loop of the extraction stage, so it is written to not
 // allocate: the pre-order kind stream comes straight from the parser's
 // NodeID-stamping walk (Result.Kinds, pinned to an EachChild pre-order walk
-// by ast.TestStamperKindStream), so there is no re-traversal. Each window's
-// FNV-1a hash is computed by an inlined byte loop over the precomputed
-// per-kind byte table. The bucket assignment is bit-identical to hashing
-// the Type() strings with hash/fnv (each node contributes its type name
-// followed by a 0 separator) — golden_test.go locks this, because every
+// by ast.TestStamperKindStream), so there is no re-traversal. A window's
+// bucket depends only on its four kinds, so a distinct window is hashed once
+// per call unless a slot collision evicted it: a direct-mapped stack memo keyed by the four kinds packed
+// into a uint32 holds the bucket, and only a miss runs the inlined FNV-1a
+// byte loop over the precomputed per-kind byte table. A hit returns exactly
+// what the miss computed, so the bucket assignment stays bit-identical to
+// hashing the Type() strings with hash/fnv (each node contributes its type
+// name followed by a 0 separator) — golden_test.go locks this, because every
 // trained model's fingerprint depends on the bucket layout staying
 // byte-stable.
 //
 //jslint:hotpath
 func (e *Extractor) ngramFeatures(res *parser.Result, out []float64) {
 	seq := res.Kinds
-	n := e.opts.ngramLen()
-	total := 0
-	for i := 0; i+n <= len(seq); i++ {
-		h := uint32(fnvOffset32)
-		for j := 0; j < n; j++ {
-			for _, b := range kindHashBytes[seq[i+j]] {
-				h = (h ^ uint32(b)) * fnvPrime32
-			}
-		}
-		out[int(h)%len(out)]++
-		total++
+	if len(seq) < NGramLen {
+		return
 	}
-	if total > 0 {
-		for i := range out {
-			out[i] /= float64(total)
+	// A slot holds the key in its high half and bucket+1 in its low half,
+	// so the zero slot is empty and no window reads it as a hit.
+	var memo [ngramMemoSlots]uint64
+	var key uint32
+	for _, k := range seq[:NGramLen-1] {
+		key = key<<8 | uint32(k)
+	}
+	for i := NGramLen - 1; i < len(seq); i++ {
+		key = key<<8 | uint32(seq[i])
+		slot := &memo[ngramMemoSlot(key)]
+		var b int
+		if *slot>>32 == uint64(key) && uint32(*slot) != 0 {
+			b = int(uint32(*slot)) - 1
+		} else {
+			h := uint32(fnvOffset32)
+			for _, k := range seq[i+1-NGramLen : i+1] {
+				for _, c := range kindHashBytes[k] {
+					h = (h ^ uint32(c)) * fnvPrime32
+				}
+			}
+			b = int(h) % len(out)
+			*slot = uint64(key)<<32 | uint64(b+1)
 		}
+		out[b]++
+	}
+	total := float64(len(seq) - (NGramLen - 1))
+	for i := range out {
+		out[i] /= total
 	}
 }
 
@@ -167,10 +191,10 @@ const (
 
 // kindHashBytes maps each interned kind to the exact bytes the n-gram hash
 // historically fed FNV-1a for one node: the ESTree type name plus the 0
-// separator.
+// separator (a lone 0 for KindInvalid, which parsed streams never carry).
 var kindHashBytes = func() [ast.KindCount][]byte {
 	var tbl [ast.KindCount][]byte
-	for k := ast.Kind(1); k < ast.KindCount; k++ {
+	for k := ast.Kind(0); k < ast.KindCount; k++ {
 		tbl[k] = append([]byte(ast.KindName(k)), 0)
 	}
 	return tbl
@@ -240,7 +264,7 @@ const numHandPicked = len(handPickedNames)
 func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 	prog := res.Program
 	set := func(name string, v float64) {
-		for i, n := range handPickedNames {
+		for i, n := range handPickedNames[:] {
 			if n == name {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					v = 0

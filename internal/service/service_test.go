@@ -49,7 +49,7 @@ func tinyDetector(t *testing.T, labels []string, probs []float64, featOpts featu
 	var buf bytes.Buffer
 	fp := ml.Fingerprint{
 		NGramDims:    uint32(featOpts.Dims()),
-		NGramLen:     uint32(featOpts.NGramLength()),
+		NGramLen:     features.NGramLen,
 		RuleFeatures: featOpts.RuleFeatures,
 	}
 	if err := ml.WriteModel(&buf, chain, fp); err != nil {

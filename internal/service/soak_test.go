@@ -82,7 +82,7 @@ func splitDetector(t *testing.T, labels []string, salt int, buckets []int32, fea
 	var buf bytes.Buffer
 	fp := ml.Fingerprint{
 		NGramDims:    uint32(featOpts.Dims()),
-		NGramLen:     uint32(featOpts.NGramLength()),
+		NGramLen:     features.NGramLen,
 		RuleFeatures: featOpts.RuleFeatures,
 	}
 	if err := ml.WriteModel(&buf, chain, fp); err != nil {

@@ -168,6 +168,11 @@ if [ "${BENCH:-0}" = "1" ]; then
     # or a pool-discipline slip from quietly eating it back.
     echo "== benchmark regression gate (StageFlow, ±10%) =="
     BENCH_PATTERN='BenchmarkStageFlow$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
+    # The n-gram window memo made StageFeatures ~2.5x faster; the same
+    # ±10% time+allocs gate keeps a slower hash path or a heap-escaping
+    # memo from eating it back.
+    echo "== benchmark regression gate (StageFeatures, ±10%) =="
+    BENCH_PATTERN='BenchmarkStageFeatures$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
 fi
 
 echo "OK"
