@@ -1,6 +1,10 @@
 package analysis
 
-import "repro/internal/js/lexer"
+import (
+	"strings"
+
+	"repro/internal/js/lexer"
+)
 
 // This file holds the source-text statistics shared between the minification
 // rules here and the hand-picked feature block in internal/features (which
@@ -30,38 +34,49 @@ func ComputeTextStats(src string) TextStats {
 		st.Lines = 0
 		return st
 	}
-	ws, alnum, jsfuck, cur := 0, 0, 0, 0
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if c == '\n' {
-			st.Lines++
-			if cur > st.MaxLine {
-				st.MaxLine = cur
-			}
-			cur = 0
-		} else {
-			cur++
+	for rest := src; ; {
+		i := strings.IndexByte(rest, '\n')
+		if i < 0 {
+			st.MaxLine = max(st.MaxLine, len(rest))
+			break
 		}
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			ws++
-		case '[', ']', '(', ')', '!', '+':
-			jsfuck++
-		default:
-			if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
-				alnum++
-			}
-		}
+		st.Lines++
+		st.MaxLine = max(st.MaxLine, i)
+		rest = rest[i+1:]
 	}
-	if cur > st.MaxLine {
-		st.MaxLine = cur
+	// A class table, not a branch per byte: the classes are unpredictable.
+	var counts [numByteClasses]int
+	for i := 0; i < len(src); i++ {
+		counts[byteClass[src[i]]]++
 	}
 	n := float64(len(src))
-	st.Whitespace = float64(ws) / n
-	st.Alnum = float64(alnum) / n
-	st.JSFuck = float64(jsfuck) / n
+	st.Whitespace = float64(counts[classSpace]) / n
+	st.Alnum = float64(counts[classAlnum]) / n
+	st.JSFuck = float64(counts[classJSFuck]) / n
 	return st
 }
+
+// The byte classes ComputeTextStats counts.
+const (
+	classOther = iota
+	classSpace
+	classJSFuck
+	classAlnum
+	numByteClasses
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range " \t\n\r" {
+		t[c] = classSpace
+	}
+	for _, c := range "[]()!+" {
+		t[c] = classJSFuck
+	}
+	for _, c := range "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789" {
+		t[c] = classAlnum
+	}
+	return t
+}()
 
 // CommentRatio returns the fraction of the file occupied by comment text,
 // capped at 1.

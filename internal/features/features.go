@@ -137,9 +137,10 @@ func ngramMemoSlot(key uint32) uint32 {
 // NodeID-stamping walk (Result.Kinds, pinned to an EachChild pre-order walk
 // by ast.TestStamperKindStream), so there is no re-traversal. A window's
 // bucket depends only on its four kinds, so a distinct window is hashed once
-// per call unless a slot collision evicted it: a direct-mapped stack memo keyed by the four kinds packed
-// into a uint32 holds the bucket, and only a miss runs the inlined FNV-1a
-// byte loop over the precomputed per-kind byte table. A hit returns exactly
+// per call unless a slot collision evicted it: a direct-mapped stack memo
+// keyed by the four kinds packed into a uint32 holds the bucket, and only a
+// miss runs the inlined FNV-1a byte loop over the precomputed per-kind byte
+// table. A hit returns exactly
 // what the miss computed, so the bucket assignment stays bit-identical to
 // hashing the Type() strings with hash/fnv (each node contributes its type
 // name followed by a 0 separator) — golden_test.go locks this, because every

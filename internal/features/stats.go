@@ -71,11 +71,18 @@ var stringOpNames = map[string]bool{
 	"toString": true, "trim": true, "toLowerCase": true, "toUpperCase": true,
 }
 
-var builtinNames = map[string]bool{
-	"eval": true, "atob": true, "btoa": true, "escape": true, "unescape": true,
-	"decodeURIComponent": true, "decodeURI": true, "encodeURIComponent": true,
-	"setInterval": true, "setTimeout": true, "Function": true,
-	"parseInt": true, "parseFloat": true,
+// isBuiltin reports the global names stats.builtins records. It runs on
+// every identifier, where a string switch is cheaper than hashing the name
+// into a map.
+func isBuiltin(name string) bool {
+	switch name {
+	case "eval", "atob", "btoa", "escape", "unescape",
+		"decodeURIComponent", "decodeURI", "encodeURIComponent",
+		"setInterval", "setTimeout", "Function",
+		"parseInt", "parseFloat":
+		return true
+	}
+	return false
 }
 
 // statsCollector holds the reusable scratch state of one collectStats run:
@@ -198,7 +205,9 @@ func (c *statsCollector) visitNode(n ast.Node) {
 	case *ast.Identifier:
 		st.identCount++
 		st.identChars += len(v.Name)
-		c.names[v.Name] = true
+		if !c.names[v.Name] { // most names repeat: a lookup is cheaper than an insert
+			c.names[v.Name] = true
+		}
 		if strings.HasPrefix(v.Name, "_0x") {
 			st.hexIdents++
 		}
@@ -210,7 +219,7 @@ func (c *statsCollector) visitNode(n ast.Node) {
 				st.identCharHist[v.Name[i]]++
 			}
 		}
-		if builtinNames[v.Name] {
+		if isBuiltin(v.Name) {
 			st.builtins[v.Name] = true
 		}
 		if v.Name == "Function" {
