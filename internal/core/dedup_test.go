@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -174,15 +173,6 @@ func TestDedupCancellationWarmCache(t *testing.T) {
 	inputs := dupInputs(40, 5)
 	s.ScanBatch(inputs) // warm every content
 
-	// Splice in one large, uncached file: the warm results before it flow
-	// from the cache in microseconds while this one is still being scanned,
-	// so the emission loop reliably finds an unready slot after cancel.
-	var big strings.Builder
-	for i := 0; i < 20000; i++ {
-		fmt.Fprintf(&big, "var v%d = %d; v%d += v%d * 2;\n", i, i, i, i)
-	}
-	inputs[20] = Input{Path: "big.js", Source: big.String()}
-
 	goroutinesBefore := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -199,8 +189,10 @@ func TestDedupCancellationWarmCache(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(emitted) < 7 || len(emitted) >= len(inputs) {
-		t.Fatalf("%d results emitted, want a partial prefix of at least 7", len(emitted))
+	// The emitter sees its own cancel before the next emit, so the prefix
+	// ends exactly where emit cancelled, however many results were ready.
+	if len(emitted) != 7 {
+		t.Fatalf("%d results emitted, want exactly the 7 before the cancel", len(emitted))
 	}
 	for i, got := range emitted {
 		if got != i {

@@ -420,13 +420,16 @@ func (s *Scanner) ScanStream(inputs []Input, emit func(i int, r FileResult)) Sca
 	return stats
 }
 
-// ScanStreamContext is ScanStream with cooperative cancellation. When ctx is
-// cancelled mid-batch, no worker claims a new input, in-flight files finish
-// (the call does not return until every worker has), and emission stops at
-// the first input whose scan had not finished when ctx was cancelled — so
-// the emitted partial results are always a contiguous, input-ordered
-// prefix. Stats cover only the emitted prefix. The error is ctx.Err() when
-// the scan was cut short, nil otherwise.
+// ScanStreamContext is ScanStream with cooperative cancellation. Once ctx is
+// cancelled, no worker claims a new input and a file finished after the
+// cancellation is dropped; the call returns when every worker has. The
+// emitter decides where the stream stops: it emits, in input order, the
+// results finished before the cancellation up to the first input that has
+// none, except that a cancel raised while emit runs (emit itself may cancel
+// ctx) ends the stream right after that result. Either way the emitted
+// results are a contiguous, input-ordered prefix, and stats cover only that
+// prefix. The error is ctx.Err() when the prefix is short of the whole
+// batch, nil otherwise.
 func (s *Scanner) ScanStreamContext(ctx context.Context, inputs []Input, emit func(i int, r FileResult)) (ScanStats, error) {
 	start := time.Now()
 	n := len(inputs)
@@ -447,16 +450,6 @@ func (s *Scanner) ScanStreamContext(ctx context.Context, inputs []Input, emit fu
 		ready atomic.Bool
 	}
 	slots := make([]slot, n)
-	emitted := 0
-	emitReady := func() {
-		for ; emitted < n && slots[emitted].ready.Load(); emitted++ {
-			r := slots[emitted].r
-			stats.add(r)
-			if emit != nil {
-				emit(emitted, r)
-			}
-		}
-	}
 	done := ctx.Done()
 	cancelled := func() bool {
 		select {
@@ -464,6 +457,22 @@ func (s *Scanner) ScanStreamContext(ctx context.Context, inputs []Input, emit fu
 			return true
 		default:
 			return false
+		}
+	}
+	emitted := 0
+	// stopped is set when ctx was cancelled while emit ran (emit itself may
+	// cancel it): the stream then ends right after that result, however
+	// many later results are ready.
+	stopped := false
+	emitReady := func() {
+		for ; emitted < n && !stopped && slots[emitted].ready.Load(); emitted++ {
+			r := slots[emitted].r
+			stats.add(r)
+			if emit != nil {
+				before := cancelled()
+				emit(emitted, r)
+				stopped = !before && cancelled()
+			}
 		}
 	}
 	claims := par.NewCounter(n)
