@@ -88,7 +88,8 @@ type Diagnostic struct {
 	// Technique is the level-2 label the finding supports (one of the
 	// paper's ten technique names), or "" for technique-neutral findings.
 	Technique string `json:"technique,omitempty"`
-	// Span is the source range of the triggering construct.
+	// Span is the source range of the triggering construct, resolved to
+	// lines and columns when the finding is reported.
 	Span ast.Span `json:"span"`
 	// Message is a human-readable, one-line explanation.
 	Message string `json:"message"`
@@ -111,6 +112,9 @@ type Context struct {
 
 	statsOnce sync.Once
 	stats     TextStats
+	// lines resolves reported ranges; it is built on the first report, so
+	// a file with no finding never builds it.
+	lines *ast.Lines
 }
 
 // Stats returns the whole-source text statistics, computed once per Context
@@ -164,37 +168,45 @@ func (r *rule) Start(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 	return r.start(ctx, rep)
 }
 
+// span resolves a node's byte range to lines and columns.
+func (c *Context) span(r ast.Range) ast.Span {
+	if c.lines == nil {
+		c.lines = ast.NewLines(c.Src)
+	}
+	return c.lines.Span(r)
+}
+
 // Reporter collects a rule's diagnostics during one Run.
 type Reporter struct {
 	info  RuleInfo
-	src   string
+	ctx   *Context
 	diags *[]Diagnostic
 }
 
 // maxSnippet bounds the snippet text stored on each diagnostic.
 const maxSnippet = 120
 
-// Report emits a diagnostic for the given span.
-func (r *Reporter) Report(span ast.Span, msg string, evidence map[string]float64) {
+// Report emits a diagnostic for the given byte range.
+func (r *Reporter) Report(rng ast.Range, msg string, evidence map[string]float64) {
 	*r.diags = append(*r.diags, Diagnostic{
 		Rule:      r.info.ID,
 		Severity:  r.info.Severity,
 		Technique: r.info.Technique,
-		Span:      span,
+		Span:      r.ctx.span(rng),
 		Message:   msg,
-		Snippet:   snippet(r.src, span),
+		Snippet:   snippet(r.ctx.Src, rng),
 		Evidence:  evidence,
 	})
 }
 
 // Reportf is Report with a formatted message.
-func (r *Reporter) Reportf(span ast.Span, evidence map[string]float64, format string, args ...interface{}) {
-	r.Report(span, fmt.Sprintf(format, args...), evidence)
+func (r *Reporter) Reportf(rng ast.Range, evidence map[string]float64, format string, args ...interface{}) {
+	r.Report(rng, fmt.Sprintf(format, args...), evidence)
 }
 
-// snippet extracts the capped source text under span.
-func snippet(src string, span ast.Span) string {
-	lo, hi := span.Start.Offset, span.End.Offset
+// snippet extracts the capped source text under rng.
+func snippet(src string, rng ast.Range) string {
+	lo, hi := int(rng.Start), int(rng.End)
 	if lo < 0 || hi > len(src) || lo >= hi {
 		return ""
 	}
@@ -256,7 +268,7 @@ func (e *Engine) Run(ctx *Context) []Diagnostic {
 	finishes := make([]FinishFunc, 0, len(e.rules))
 	for i, r := range e.rules {
 		info := r.Info()
-		rep := &Reporter{info: info, src: ctx.Src, diags: &diags}
+		rep := &Reporter{info: info, ctx: ctx, diags: &diags}
 		visit, finish := r.Start(ctx, rep)
 		if visit != nil {
 			if len(info.Nodes) == 0 {

@@ -22,7 +22,7 @@ func ruleDeadBranch() Rule {
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			reported := 0
-			check := func(test ast.Node, span ast.Span) {
+			check := func(test ast.Node, rng ast.Range) {
 				if reported >= maxReports {
 					return
 				}
@@ -31,16 +31,16 @@ func ruleDeadBranch() Rule {
 					return
 				}
 				reported++
-				rep.Reportf(span, map[string]float64{"constant_false": 1},
+				rep.Reportf(rng, map[string]float64{"constant_false": 1},
 					"branch condition folds to a constant false (opaque predicate %q)",
-					snippet(ctx.Src, test.Span()))
+					snippet(ctx.Src, test.Range()))
 			}
 			visit := func(n ast.Node) {
 				switch v := n.(type) {
 				case *ast.IfStatement:
-					check(v.Test, v.Span())
+					check(v.Test, v.Range())
 				case *ast.WhileStatement:
-					check(v.Test, v.Span())
+					check(v.Test, v.Range())
 				}
 			}
 			return visit, nil
@@ -181,12 +181,12 @@ func ruleSwitchDispatch() Rule {
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			type dispatcher struct {
-				span  ast.Span
+				rng   ast.Range
 				cases int
 			}
 			var dispatchers []dispatcher
 			pipeSplits := 0
-			record := func(body ast.Node, span ast.Span) {
+			record := func(body ast.Node, rng ast.Range) {
 				blk, ok := body.(*ast.BlockStatement)
 				if !ok {
 					return
@@ -197,7 +197,7 @@ func ruleSwitchDispatch() Rule {
 						continue
 					}
 					if isOrderDispatch(sw.Discriminant) {
-						dispatchers = append(dispatchers, dispatcher{span: span, cases: len(sw.Cases)})
+						dispatchers = append(dispatchers, dispatcher{rng: rng, cases: len(sw.Cases)})
 					}
 				}
 			}
@@ -205,11 +205,11 @@ func ruleSwitchDispatch() Rule {
 				switch v := n.(type) {
 				case *ast.WhileStatement:
 					if isEndlessTest(v.Test) {
-						record(v.Body, v.Span())
+						record(v.Body, v.Range())
 					}
 				case *ast.ForStatement:
 					if v.Test == nil || isEndlessTest(v.Test) {
-						record(v.Body, v.Span())
+						record(v.Body, v.Range())
 					}
 				case *ast.CallExpression:
 					if memberProp(v.Callee) == "split" && len(v.Arguments) == 1 {
@@ -227,7 +227,7 @@ func ruleSwitchDispatch() Rule {
 					if i >= maxReports {
 						break
 					}
-					rep.Reportf(d.span, map[string]float64{
+					rep.Reportf(d.rng, map[string]float64{
 						"switch_cases":       float64(d.cases),
 						"pipe_split_strings": float64(pipeSplits),
 					}, "endless loop dispatches a %d-case switch over an incrementing order index", d.cases)

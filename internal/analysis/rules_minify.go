@@ -42,11 +42,11 @@ func ruleMinifiedSource() Rule {
 				if avgLine < minAvgLine && maxLine < minMaxLine {
 					return
 				}
-				span := ast.Span{}
+				var rng ast.Range
 				if ctx.Program != nil {
-					span = ctx.Program.Span()
+					rng = ctx.Program.Range()
 				}
-				rep.Reportf(span, map[string]float64{
+				rep.Reportf(rng, map[string]float64{
 					"avg_line_len":     avgLine,
 					"max_line_len":     float64(maxLine),
 					"whitespace_ratio": ws,
@@ -76,7 +76,7 @@ func ruleRenamedIdentifiers() Rule {
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			finish := func() {
 				declared, short := 0, 0
-				var first ast.Span
+				var first ast.Range
 				for _, b := range ctx.Graph.Scopes.Bindings {
 					if b.Decl == nil {
 						continue
@@ -84,7 +84,7 @@ func ruleRenamedIdentifiers() Rule {
 					declared++
 					if len(b.Name) <= 2 {
 						if short == 0 {
-							first = b.Decl.Span()
+							first = b.Decl.Range()
 						}
 						short++
 					}

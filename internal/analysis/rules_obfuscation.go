@@ -24,13 +24,13 @@ func ruleHexIdentifiers() Rule {
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			total, hex := 0, 0
-			var first ast.Span
+			var first ast.Range
 			visit := func(n ast.Node) {
 				id := n.(*ast.Identifier)
 				total++
 				if isHexIdentName(id.Name) {
 					if hex == 0 {
-						first = id.Span()
+						first = id.Range()
 					}
 					hex++
 				}
@@ -76,10 +76,10 @@ func ruleEncodedStrings() Rule {
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			stringCount, encoded, decoders := 0, 0, 0
-			var first ast.Span
-			hit := func(span ast.Span) {
+			var first ast.Range
+			hit := func(rng ast.Range) {
 				if encoded+decoders == 0 {
-					first = span
+					first = rng
 				}
 			}
 			visit := func(n ast.Node) {
@@ -90,23 +90,23 @@ func ruleEncodedStrings() Rule {
 					}
 					stringCount++
 					if LooksEncoded(v.String) || LooksBase64(v.String) {
-						hit(v.Span())
+						hit(v.Range())
 						encoded++
 					}
 				case *ast.CallExpression:
 					switch {
 					case memberProp(v.Callee) == "fromCharCode" && len(v.Arguments) >= 2:
-						hit(v.Span())
+						hit(v.Range())
 						decoders++
 					case decoderNames[identName(v.Callee)] && len(v.Arguments) == 1:
 						if _, ok := stringLit(v.Arguments[0]); ok {
-							hit(v.Span())
+							hit(v.Range())
 							decoders++
 						}
 					case memberProp(v.Callee) == "join":
 						// "..." .split("").reverse().join("") chains.
 						if m := v.Callee.(*ast.MemberExpression); memberPropOfCall(m.Object) == "reverse" {
-							hit(v.Span())
+							hit(v.Range())
 							decoders++
 						}
 					}
@@ -156,7 +156,7 @@ func ruleStringArray() Rule {
 		name      string
 		arrayName string
 		offset    float64
-		span      ast.Span
+		rng       ast.Range
 	}
 	return &rule{
 		info: RuleInfo{
@@ -169,7 +169,7 @@ func ruleStringArray() Rule {
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			type arrayInfo struct {
 				size int
-				span ast.Span
+				rng  ast.Range
 			}
 			arrays := make(map[string]arrayInfo)
 			var accessors []accessor
@@ -189,13 +189,13 @@ func ruleStringArray() Rule {
 						}
 					}
 					if strs*10 >= len(arr.Elements)*8 { // >= 80% strings
-						arrays[name] = arrayInfo{size: len(arr.Elements), span: v.Span()}
+						arrays[name] = arrayInfo{size: len(arr.Elements), rng: v.Range()}
 					}
 				case *ast.FunctionDeclaration:
 					if acc, ok := matchArrayAccessor(v); ok {
 						accessors = append(accessors, accessor{
 							name: acc.name, arrayName: acc.arrayName,
-							offset: acc.offset, span: v.Span(),
+							offset: acc.offset, rng: v.Range(),
 						})
 					}
 				case *ast.CallExpression:
@@ -215,7 +215,7 @@ func ruleStringArray() Rule {
 					if acc.offset == 0 && arr.size < minPlainArraySiz {
 						continue
 					}
-					rep.Reportf(arr.span, map[string]float64{
+					rep.Reportf(arr.rng, map[string]float64{
 						"array_size":     float64(arr.size),
 						"index_offset":   acc.offset,
 						"accessor_calls": float64(calls[acc.name]),
@@ -302,35 +302,35 @@ func ruleDynamicCodeSink() Rule {
 			reported := 0
 			type deferred struct {
 				id   *ast.Identifier
-				span ast.Span
+				rng  ast.Range
 				sink string
 			}
 			var pending []deferred
-			report := func(span ast.Span, sink, how string) {
+			report := func(rng ast.Range, sink, how string) {
 				if reported >= maxReports {
 					return
 				}
 				reported++
-				rep.Reportf(span, map[string]float64{"sinks": 1},
+				rep.Reportf(rng, map[string]float64{"sinks": 1},
 					"%s executes a string %s", sink, how)
 			}
-			check := func(span ast.Span, sink string, arg ast.Node) {
+			check := func(rng ast.Range, sink string, arg ast.Node) {
 				switch v := arg.(type) {
 				case *ast.Literal:
 					if s, ok := stringLit(v); ok && (LooksEncoded(s) || LooksBase64(s)) {
-						report(span, sink, "stored in encoded form")
+						report(rng, sink, "stored in encoded form")
 					}
 				case *ast.BinaryExpression:
 					if v.Operator == "+" && containsStringWith(v, func(string) bool { return true }) {
-						report(span, sink, "assembled by concatenation")
+						report(rng, sink, "assembled by concatenation")
 					}
 				case *ast.CallExpression:
 					if isDecoderCall(v) {
-						report(span, sink, "produced by a decoding call")
+						report(rng, sink, "produced by a decoding call")
 					}
 				case *ast.Identifier:
 					if len(pending) < 16 {
-						pending = append(pending, deferred{id: v, span: span, sink: sink})
+						pending = append(pending, deferred{id: v, rng: rng, sink: sink})
 					}
 				}
 			}
@@ -338,14 +338,14 @@ func ruleDynamicCodeSink() Rule {
 				switch v := n.(type) {
 				case *ast.CallExpression:
 					if identName(v.Callee) == "eval" && len(v.Arguments) >= 1 {
-						check(v.Span(), "eval", v.Arguments[0])
+						check(v.Range(), "eval", v.Arguments[0])
 					}
 					if identName(v.Callee) == "Function" && len(v.Arguments) >= 1 {
-						check(v.Span(), "Function", v.Arguments[len(v.Arguments)-1])
+						check(v.Range(), "Function", v.Arguments[len(v.Arguments)-1])
 					}
 				case *ast.NewExpression:
 					if identName(v.Callee) == "Function" && len(v.Arguments) >= 1 {
-						check(v.Span(), "new Function", v.Arguments[len(v.Arguments)-1])
+						check(v.Range(), "new Function", v.Arguments[len(v.Arguments)-1])
 					}
 				}
 			}
@@ -356,7 +356,7 @@ func ruleDynamicCodeSink() Rule {
 						continue
 					}
 					if subtreeDecodes(b.Init) {
-						report(d.span, d.sink, fmt.Sprintf("decoded into variable %q", d.id.Name))
+						report(d.rng, d.sink, fmt.Sprintf("decoded into variable %q", d.id.Name))
 					}
 				}
 			}
@@ -443,11 +443,11 @@ func ruleNoAlphanumeric() Rule {
 				if alnum > maxAlnumRatio || jsfuck < minSymbolRatio {
 					return
 				}
-				span := ast.Span{}
+				var rng ast.Range
 				if ctx.Program != nil {
-					span = ctx.Program.Span()
+					rng = ctx.Program.Range()
 				}
-				rep.Reportf(span, map[string]float64{
+				rep.Reportf(rng, map[string]float64{
 					"alnum_ratio":  alnum,
 					"symbol_ratio": jsfuck,
 					"bytes":        float64(len(ctx.Src)),

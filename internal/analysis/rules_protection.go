@@ -21,10 +21,10 @@ func ruleSelfDefending() Rule {
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			probes := 0
-			var first ast.Span
-			hit := func(span ast.Span) {
+			var first ast.Range
+			hit := func(rng ast.Range) {
 				if probes == 0 {
-					first = span
+					first = rng
 				}
 				probes++
 			}
@@ -38,7 +38,7 @@ func ruleSelfDefending() Rule {
 					// The formatting-sensitive regex source: its "[^ ]"
 					// classes break when whitespace is reintroduced.
 					if strings.Contains(s, "[^ ]") {
-						hit(v.Span())
+						hit(v.Range())
 					}
 					return
 				}
@@ -47,7 +47,7 @@ func ruleSelfDefending() Rule {
 					if containsStringWith(bin, func(s string) bool {
 						return strings.Contains(s, "return /")
 					}) {
-						hit(v.Span())
+						hit(v.Range())
 					}
 				}
 			}
@@ -78,11 +78,11 @@ func ruleDebuggerProtection() Rule {
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			ctorDebugger, ctorStall, debuggerStmts := 0, 0, 0
 			intervals := 0
-			var first ast.Span
+			var first ast.Range
 			haveSpan := false
-			mark := func(span ast.Span) {
+			mark := func(rng ast.Range) {
 				if !haveSpan {
-					first = span
+					first = rng
 					haveSpan = true
 				}
 			}
@@ -90,7 +90,7 @@ func ruleDebuggerProtection() Rule {
 				switch v := n.(type) {
 				case *ast.DebuggerStatement:
 					debuggerStmts++
-					mark(v.Span())
+					mark(v.Range())
 				case *ast.CallExpression:
 					switch identName(v.Callee) {
 					case "setInterval", "setTimeout":
@@ -100,11 +100,11 @@ func ruleDebuggerProtection() Rule {
 						if s, ok := stringLit(v.Arguments[0]); ok {
 							if strings.Contains(s, "debugger") {
 								ctorDebugger++
-								mark(v.Span())
+								mark(v.Range())
 							}
 							if strings.Contains(s, "while") && strings.Contains(s, "{}") {
 								ctorStall++
-								mark(v.Span())
+								mark(v.Range())
 							}
 						}
 					}

@@ -16,7 +16,7 @@ func TestArenaDistinctNodes(t *testing.T) {
 			t.Fatalf("alloc %d: pointer %p handed out twice", i, id)
 		}
 		seen[id] = true
-		if id.Name != "x" || (id.Span() != Span{}) {
+		if id.Name != "x" || (id.Range() != Range{}) {
 			t.Fatalf("alloc %d: wrong value: %+v", i, *id)
 		}
 		id.Name = "dirty" // must not leak into the next slot

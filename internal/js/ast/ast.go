@@ -3,21 +3,35 @@
 // downstream feature extraction operates on the same syntactic vocabulary as
 // the paper's Esprima-based pipeline (node types such as "MemberExpression",
 // "CallExpression", "ConditionalExpression", ...).
+//
+// Positions follow go/token: a node stores only the byte Range it covers,
+// and Lines, a per-file table of line starts, resolves an offset to its
+// line and column when something (a reported diagnostic) needs them.
+// Offsets are int32; the parser rejects sources of 2 GiB or more.
 package ast
 
 // Pos is a byte offset plus line/column location in the original source.
-// The JSON tags keep serialized diagnostics (internal/analysis) in one
-// consistent lowercase style.
+// Tokens, comments and errors carry it; nodes carry only a Range, and a
+// diagnostic resolves its line and column through Lines. The JSON tags keep
+// serialized diagnostics (internal/analysis) in one consistent lowercase
+// style.
 type Pos struct {
-	Offset int `json:"offset"` // byte offset, 0-based
-	Line   int `json:"line"`   // 1-based
-	Column int `json:"column"` // 0-based, in bytes
+	Offset int32 `json:"offset"` // byte offset, 0-based
+	Line   int32 `json:"line"`   // 1-based
+	Column int32 `json:"column"` // 0-based, in bytes
 }
 
-// Span is the half-open source range [Start, End) covered by a node.
+// Span is the half-open source range [Start, End) with line and column at
+// both ends.
 type Span struct {
 	Start Pos `json:"start"`
 	End   Pos `json:"end"`
+}
+
+// Range is the half-open byte range [Start, End) covered by a node. The
+// parser rejects sources of 2 GiB or more, so an offset always fits.
+type Range struct {
+	Start, End int32
 }
 
 // Node is implemented by every AST node.
@@ -29,8 +43,9 @@ type Node interface {
 	// string. (Named NodeKind, not Kind, because ESTree mandates a Kind
 	// field on several node types.)
 	NodeKind() Kind
-	// Span returns the source range of the node.
-	Span() Span
+	// Range returns the byte range of the node in its source; Lines.Span
+	// turns it into lines and columns.
+	Range() Range
 	// NodeID returns the dense pre-order ID assigned by StampIDs (see
 	// nodeid.go). It is 0 for the Program root and for nodes created after
 	// the tree was stamped; dense consumers rely on the root owning slot 0.
@@ -43,17 +58,18 @@ type Node interface {
 	SetNodeID(NodeID)
 }
 
-// base carries the span and dense ID shared by all concrete nodes.
+// base carries the byte range and dense ID shared by all concrete nodes:
+// 12 bytes, so an Identifier is its name plus 16.
 type base struct {
-	Loc Span
+	rng Range
 	id  NodeID
 }
 
-func (b *base) Span() Span { return b.Loc }
+func (b *base) Range() Range { return b.rng }
 
-// SetSpan records the source range. It is exported through concrete types so
+// SetRange records the byte range. It is exported through concrete types so
 // the parser and transformers can stamp locations.
-func (b *base) SetSpan(s Span) { b.Loc = s }
+func (b *base) SetRange(r Range) { b.rng = r }
 
 // NodeID returns the node's dense pre-order ID (0 until StampIDs ran).
 func (b *base) NodeID() NodeID { return b.id }

@@ -119,11 +119,11 @@ func TestLiteralConstructors(t *testing.T) {
 	}
 }
 
-func TestSpanAccessors(t *testing.T) {
+func TestRangeAccessors(t *testing.T) {
 	id := NewIdentifier("x")
-	span := Span{Start: Pos{Offset: 3, Line: 1, Column: 3}, End: Pos{Offset: 4, Line: 1, Column: 4}}
-	id.SetSpan(span)
-	if id.Span() != span {
-		t.Fatal("span round trip failed")
+	r := Range{Start: 3, End: 4}
+	id.SetRange(r)
+	if id.Range() != r {
+		t.Fatal("range round trip failed")
 	}
 }

@@ -94,8 +94,10 @@ func (l *Lexer) Comments() []Comment { return l.comments }
 // token count measures backtracking overhead.
 func (l *Lexer) TokensScanned() int { return l.scanned }
 
+// pos reports the current position. The parser rejects sources of 2 GiB or
+// more before lexing, so the conversions never wrap.
 func (l *Lexer) pos() ast.Pos {
-	return ast.Pos{Offset: l.off, Line: l.line, Column: l.col}
+	return ast.Pos{Offset: int32(l.off), Line: int32(l.line), Column: int32(l.col)}
 }
 
 func (l *Lexer) peekByte() byte {
@@ -1007,9 +1009,9 @@ func (l *Lexer) scanTemplateSlow(start ast.Pos, startOff int, head bool, tok *To
 // template. The lexer rewinds to the '}' and scans a TemplateMiddle or
 // TemplateTail token from there.
 func (l *Lexer) RescanTemplateContinue(closeBrace Token) (Token, error) {
-	l.off = closeBrace.Start.Offset
-	l.line = closeBrace.Start.Line
-	l.col = closeBrace.Start.Column
+	l.off = int(closeBrace.Start.Offset)
+	l.line = int(closeBrace.Start.Line)
+	l.col = int(closeBrace.Start.Column)
 	var tok Token
 	if err := l.scanTemplate(closeBrace.Start, false, &tok); err != nil {
 		return Token{}, err

@@ -8,7 +8,7 @@ import (
 // parseExpression parses a (possibly comma-separated sequence) expression.
 // noIn suppresses the `in` operator, for `for (a in b)` disambiguation.
 func (p *parser) parseExpression(noIn bool) (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	first, err := p.parseAssignment(noIn)
 	if err != nil {
 		return nil, err
@@ -54,7 +54,7 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 		return nil, err
 	}
 	defer p.leave()
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 
 	if p.atKeyword("yield") {
 		return p.parseYield()
@@ -98,7 +98,7 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 }
 
 func (p *parser) parseYield() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("yield"); err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func (p *parser) parseYield() (ast.Node, error) {
 // tryParseArrow recognizes the three arrow-function head shapes with bounded
 // backtracking: `x =>`, `(params) =>`, and `async ... =>`.
 func (p *parser) tryParseArrow() (ast.Node, bool, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 
 	// `async` prefixed arrows.
 	if p.atIdentName("async") {
@@ -145,7 +145,7 @@ func (p *parser) tryParseArrow() (ast.Node, bool, error) {
 // tryParseArrowTail attempts `ident =>` or `(params) =>` from the current
 // position; it restores the parser state and reports ok=false when the input
 // is not an arrow function.
-func (p *parser) tryParseArrowTail(start ast.Pos, isAsync bool) (ast.Node, bool, error) {
+func (p *parser) tryParseArrowTail(start int32, isAsync bool) (ast.Node, bool, error) {
 	if p.at(lexer.Ident) || (p.tok.Kind == lexer.Keyword && isContextualName(p.tok.StringValue)) {
 		save := p.save()
 		name := p.identHere(p.tok.StringValue)
@@ -183,7 +183,7 @@ func (p *parser) tryParseArrowTail(start ast.Pos, isAsync bool) (ast.Node, bool,
 		}
 		p.restore(save)
 		if p.arrowFail == nil {
-			p.arrowFail = make(map[int]bool)
+			p.arrowFail = make(map[int32]bool)
 		}
 		p.arrowFail[off] = true
 		return nil, false, nil
@@ -215,7 +215,7 @@ func (p *parser) tryParseArrowParams() ([]ast.Node, error) {
 	return params, nil
 }
 
-func (p *parser) parseArrowBody(start ast.Pos, params []ast.Node, isAsync bool) (ast.Node, error) {
+func (p *parser) parseArrowBody(start int32, params []ast.Node, isAsync bool) (ast.Node, error) {
 	if err := p.expectPunct("=>"); err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func (p *parser) parseArrowBody(start ast.Pos, params []ast.Node, isAsync bool) 
 }
 
 func (p *parser) parseConditional(noIn bool) (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	test, err := p.parseBinary(0, noIn)
 	if err != nil {
 		return nil, err
@@ -321,7 +321,7 @@ func (p *parser) binaryOp(noIn bool) (string, int) {
 
 // parseBinary is a precedence climber over binary and logical operators.
 func (p *parser) parseBinary(minPrec int, noIn bool) (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -373,7 +373,7 @@ func (p *parser) parseUnary() (ast.Node, error) {
 }
 
 func (p *parser) parseUnaryInner() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 
 	switch {
 	case p.tok.Kind == lexer.Punct && isUnaryOp(p.tok.Lexeme):
@@ -435,7 +435,7 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 // parseLeftHandSide parses new/call/member chains, optional chaining, and
 // tagged templates.
 func (p *parser) parseLeftHandSide() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	var expr ast.Node
 	var err error
 	if p.atKeyword("new") {
@@ -450,8 +450,8 @@ func (p *parser) parseLeftHandSide() (ast.Node, error) {
 }
 
 func (p *parser) parseNew() (ast.Node, error) {
-	start := p.tok.Start
-	newEnd := p.tok.End
+	start := p.tok.Start.Offset
+	newEnd := p.tok.End.Offset
 	if err := p.expectKeyword("new"); err != nil {
 		return nil, err
 	}
@@ -465,7 +465,7 @@ func (p *parser) parseNew() (ast.Node, error) {
 			return nil, err
 		}
 		meta := p.arena.NewIdentifier(ast.Identifier{Name: "new"})
-		meta.SetSpan(span(start, newEnd))
+		meta.SetRange(byteRange(start, newEnd))
 		return finish(p, p.arena.NewMetaProperty(ast.MetaProperty{Meta: meta, Property: prop}), start), nil
 	}
 	var callee ast.Node
@@ -496,7 +496,7 @@ func (p *parser) parseNew() (ast.Node, error) {
 
 // parseMemberTail extends expr with `.name`, `[expr]`, and template tags, but
 // not call arguments (used for `new` callees).
-func (p *parser) parseMemberTail(expr ast.Node, start ast.Pos) (ast.Node, error) {
+func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 	for {
 		switch {
 		case p.atPunct("."):
@@ -531,7 +531,7 @@ func (p *parser) parseMemberTail(expr ast.Node, start ast.Pos) (ast.Node, error)
 
 // parseCallTail extends expr with member accesses, calls, optional chaining,
 // and tagged templates.
-func (p *parser) parseCallTail(expr ast.Node, start ast.Pos) (ast.Node, error) {
+func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 	for {
 		switch {
 		case p.atPunct("."), p.atPunct("["):
@@ -591,7 +591,7 @@ func (p *parser) parseCallTail(expr ast.Node, start ast.Pos) (ast.Node, error) {
 	}
 }
 
-func (p *parser) parseMemberTailOne(expr ast.Node, start ast.Pos) (ast.Node, error) {
+func (p *parser) parseMemberTailOne(expr ast.Node, start int32) (ast.Node, error) {
 	if p.atPunct(".") {
 		if err := p.next(); err != nil {
 			return nil, err
@@ -625,7 +625,7 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 	var args []ast.Node
 	for !p.atPunct(")") {
 		if p.atPunct("...") {
-			sStart := p.tok.Start
+			sStart := p.tok.Start.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -658,7 +658,7 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parsePrimary() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	switch p.tok.Kind {
 	case lexer.Ident:
 		name := p.tok.StringValue
@@ -743,7 +743,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 			return p.parseNew()
 		case "import":
 			// Dynamic import `import(...)` or `import.meta`.
-			importEnd := p.tok.End
+			importEnd := p.tok.End.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -756,7 +756,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 					return nil, err
 				}
 				meta := p.arena.NewIdentifier(ast.Identifier{Name: "import"})
-				meta.SetSpan(span(start, importEnd))
+				meta.SetRange(byteRange(start, importEnd))
 				return finish(p, p.arena.NewMetaProperty(ast.MetaProperty{Meta: meta, Property: prop}), start), nil
 			}
 			return finish(p, p.arena.NewIdentifier(ast.Identifier{Name: "import"}), start), nil
@@ -800,7 +800,7 @@ func (p *parser) parseParenExpression() (ast.Node, error) {
 }
 
 func (p *parser) parseArrayLiteral() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectPunct("["); err != nil {
 		return nil, err
 	}
@@ -814,7 +814,7 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 			continue
 		}
 		if p.atPunct("...") {
-			sStart := p.tok.Start
+			sStart := p.tok.Start.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -843,14 +843,14 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 }
 
 func (p *parser) parseObjectLiteral() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
 	obj := p.arena.NewObjectExpression(ast.ObjectExpression{})
 	for !p.atPunct("}") {
 		if p.atPunct("...") {
-			sStart := p.tok.Start
+			sStart := p.tok.Start.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -879,7 +879,7 @@ func (p *parser) parseObjectLiteral() (ast.Node, error) {
 }
 
 func (p *parser) parseObjectProperty() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	prop := p.arena.NewProperty(ast.Property{Kind: "init"})
 
 	isAsync := false
@@ -924,7 +924,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 	switch {
 	case prop.Kind == "get" || prop.Kind == "set" || p.atPunct("("):
 		// Method or accessor.
-		fStart := p.tok.Start
+		fStart := p.tok.Start.Offset
 		params, err := p.parseParams()
 		if err != nil {
 			return nil, err
@@ -974,11 +974,11 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 }
 
 func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	tpl := p.arena.NewTemplateLiteral(ast.TemplateLiteral{})
 	if p.at(lexer.NoSubstTemplate) {
 		el := p.arena.NewTemplateElement(ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue, Tail: true})
-		el.SetSpan(span(p.tok.Start, p.tok.End))
+		el.SetRange(p.tokRange())
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -990,7 +990,7 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		return nil, p.errorf("expected template literal")
 	}
 	head := p.arena.NewTemplateElement(ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue})
-	head.SetSpan(span(p.tok.Start, p.tok.End))
+	head.SetRange(p.tokRange())
 	tpl.Quasis = append(tpl.Quasis, head)
 	if err := p.next(); err != nil {
 		return nil, err
@@ -1012,7 +1012,7 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		// token after it.
 		p.tok = tok
 		el := p.arena.NewTemplateElement(ast.TemplateElement{Raw: tok.Lexeme, Cooked: tok.StringValue, Tail: tok.Kind == lexer.TemplateTail})
-		el.SetSpan(span(tok.Start, tok.End))
+		el.SetRange(byteRange(tok.Start.Offset, tok.End.Offset))
 		tpl.Quasis = append(tpl.Quasis, el)
 		isTail := tok.Kind == lexer.TemplateTail
 		if err := p.next(); err != nil {
@@ -1036,7 +1036,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 		return expr, nil
 	case *ast.ArrayExpression:
 		pat := p.arena.NewArrayPattern(ast.ArrayPattern{})
-		pat.SetSpan(v.Span())
+		pat.SetRange(v.Range())
 		for i, el := range v.Elements {
 			if el == nil {
 				pat.Elements = append(pat.Elements, nil)
@@ -1051,7 +1051,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 					return nil, err
 				}
 				rest := p.arena.NewRestElement(ast.RestElement{Argument: arg})
-				rest.SetSpan(sp.Span())
+				rest.SetRange(sp.Range())
 				pat.Elements = append(pat.Elements, rest)
 				continue
 			}
@@ -1064,7 +1064,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 		return pat, nil
 	case *ast.ObjectExpression:
 		pat := p.arena.NewObjectPattern(ast.ObjectPattern{})
-		pat.SetSpan(v.Span())
+		pat.SetRange(v.Range())
 		for _, prop := range v.Properties {
 			switch pv := prop.(type) {
 			case *ast.SpreadElement:
@@ -1073,7 +1073,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 					return nil, err
 				}
 				rest := p.arena.NewRestElement(ast.RestElement{Argument: arg})
-				rest.SetSpan(pv.Span())
+				rest.SetRange(pv.Range())
 				pat.Properties = append(pat.Properties, rest)
 			case *ast.Property:
 				val, err := p.toPattern(pv.Value)
@@ -1084,7 +1084,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 					Key: pv.Key, Value: val, Kind: "init",
 					Computed: pv.Computed, Shorthand: pv.Shorthand,
 				})
-				np.SetSpan(pv.Span())
+				np.SetRange(pv.Range())
 				pat.Properties = append(pat.Properties, np)
 			default:
 				return nil, p.errorf("invalid destructuring property")
@@ -1100,7 +1100,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 			return nil, err
 		}
 		ap := p.arena.NewAssignmentPattern(ast.AssignmentPattern{Left: left, Right: v.Right})
-		ap.SetSpan(v.Span())
+		ap.SetRange(v.Range())
 		return ap, nil
 	default:
 		return nil, p.errorf("invalid assignment target %s", expr.Type())

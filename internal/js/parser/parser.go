@@ -9,6 +9,7 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -116,14 +117,26 @@ func (p *parser) reset(src string, collectTokens bool) {
 	p.collect = collectTokens
 	p.tokens = p.tokens[:0]
 	p.numTokens = 0
-	p.lastEnd_ = ast.Pos{}
+	p.lastEnd_ = 0
 	p.depth = 0
 	clear(p.arrowFail)
 	p.arena = nil
 }
 
+// checkSourceLen rejects a source too long for the int32 offsets that
+// nodes, tokens and comments carry, so no offset ever wraps.
+func checkSourceLen(n int) error {
+	if n > math.MaxInt32 {
+		return &Error{Msg: fmt.Sprintf("source is %d bytes; offsets are 32-bit, so at most %d are parsed", n, math.MaxInt32)}
+	}
+	return nil
+}
+
 func (p *parser) parse(src string, collectTokens, collectKinds bool) (res *Result, err error) {
 	parses.Add(1)
+	if err := checkSourceLen(len(src)); err != nil {
+		return nil, err
+	}
 	p.reset(src, collectTokens)
 	out := &Result{}
 	p.arena = &out.arena
@@ -204,9 +217,9 @@ type parser struct {
 	tokens  []lexer.Token
 	// numTokens counts consumed tokens even when collect is false.
 	numTokens int
-	// lastEnd is the end position of the last consumed token, for span
+	// lastEnd_ is the end offset of the last consumed token, for range
 	// stamping.
-	lastEnd_ ast.Pos
+	lastEnd_ int32
 
 	// depth guards against stack exhaustion on pathological nesting.
 	depth int
@@ -214,7 +227,7 @@ type parser struct {
 	// arrowFail records byte offsets where a `(`-led arrow-head attempt
 	// already failed, so backtracking retries skip the re-attempt (keeps
 	// nested cover-grammar input from going exponential).
-	arrowFail map[int]bool
+	arrowFail map[int32]bool
 
 	// arena allocates every AST node of the current parse. It points into
 	// the Result under construction and is never pooled: a fresh parse
@@ -233,7 +246,7 @@ const maxDepth = 2500
 func (p *parser) next() error {
 	if p.tok.Kind != 0 {
 		p.numTokens++
-		p.lastEnd_ = p.tok.End
+		p.lastEnd_ = p.tok.End.Offset
 		if p.collect {
 			p.tokens = append(p.tokens, p.tok)
 		}
@@ -293,27 +306,31 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func span(start ast.Pos, end ast.Pos) ast.Span { return ast.Span{Start: start, End: end} }
+func byteRange(start, end int32) ast.Range { return ast.Range{Start: start, End: end} }
 
-type spanSetter interface{ SetSpan(ast.Span) }
+// tokRange is the byte range of the current token.
+func (p *parser) tokRange() ast.Range { return byteRange(p.tok.Start.Offset, p.tok.End.Offset) }
 
-// finish stamps the node's source range and hands it back. It is generic
-// over the concrete node type: the old signature took an ast.Node and
-// asserted to spanSetter, which cost an interface-to-interface itab
-// lookup on every node built (visible on the parse profile). Every
-// concrete node embeds ast.base, so the constraint is always satisfied.
+type rangeSetter interface{ SetRange(ast.Range) }
+
+// finish stamps the node's byte range, from start to the end of the last
+// consumed token, and hands the node back. It is generic over the concrete
+// node type: the old signature took an ast.Node and asserted to an
+// interface, which cost an interface-to-interface itab lookup on every node
+// built (visible on the parse profile). Every concrete node embeds
+// ast.base, so the constraint is always satisfied.
 //
 //jslint:hotpath
-func finish[T spanSetter](p *parser, n T, start ast.Pos) T {
-	n.SetSpan(span(start, p.lastEnd()))
+func finish[T rangeSetter](p *parser, n T, start int32) T {
+	n.SetRange(byteRange(start, p.lastEnd()))
 	return n
 }
 
-func (p *parser) lastEnd() ast.Pos {
+func (p *parser) lastEnd() int32 {
 	if p.numTokens > 0 {
 		return p.lastEnd_
 	}
-	return p.tok.Start
+	return p.tok.Start.Offset
 }
 
 // identHere builds an Identifier spanning the current token. It must be
@@ -321,7 +338,7 @@ func (p *parser) lastEnd() ast.Pos {
 // see a real source range (position fidelity: no zero-span nodes).
 func (p *parser) identHere(name string) *ast.Identifier {
 	id := p.arena.NewIdentifier(ast.Identifier{Name: name})
-	id.SetSpan(span(p.tok.Start, p.tok.End))
+	id.SetRange(p.tokRange())
 	return id
 }
 
@@ -329,7 +346,7 @@ func (p *parser) identHere(name string) *ast.Identifier {
 // identHere, it must be called before the token is consumed.
 func (p *parser) stringLitHere() *ast.Literal {
 	lit := p.arena.NewLiteral(ast.Literal{Kind: ast.LiteralString, Raw: p.tok.Lexeme, String: p.tok.StringValue})
-	lit.SetSpan(span(p.tok.Start, p.tok.End))
+	lit.SetRange(p.tokRange())
 	return lit
 }
 
@@ -337,7 +354,7 @@ func (p *parser) stringLitHere() *ast.Literal {
 // reuse a parsed name, e.g. shorthand object properties).
 func (p *parser) cloneIdent(id *ast.Identifier) *ast.Identifier {
 	c := p.arena.NewIdentifier(ast.Identifier{Name: id.Name})
-	c.SetSpan(id.Span())
+	c.SetRange(id.Range())
 	return c
 }
 
@@ -346,7 +363,7 @@ func (p *parser) cloneIdent(id *ast.Identifier) *ast.Identifier {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseProgram() (*ast.Program, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	prog := p.arena.NewProgram(ast.Program{})
 	body, err := p.parseStatementList(true)
 	if err != nil {
@@ -396,7 +413,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 	}
 	defer p.leave()
 
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	switch {
 	case p.atPunct("{"):
 		return p.parseBlock()
@@ -491,7 +508,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 }
 
 func (p *parser) parseBlock() (*ast.BlockStatement, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
@@ -508,7 +525,7 @@ func (p *parser) parseBlock() (*ast.BlockStatement, error) {
 }
 
 func (p *parser) parseExpressionStatement() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	expr, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
@@ -531,14 +548,14 @@ func (p *parser) consumeSemicolon() error {
 }
 
 func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclaration, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	kind := p.tok.StringValue
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	decl := p.arena.NewVariableDeclaration(ast.VariableDeclaration{Kind: kind})
 	for {
-		dStart := p.tok.Start
+		dStart := p.tok.Start.Offset
 		id, err := p.parseBindingTarget()
 		if err != nil {
 			return nil, err
@@ -571,7 +588,7 @@ func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclar
 }
 
 func (p *parser) parseIf() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("if"); err != nil {
 		return nil, err
 	}
@@ -604,7 +621,7 @@ func (p *parser) parseIf() (ast.Node, error) {
 }
 
 func (p *parser) parseWhile() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("while"); err != nil {
 		return nil, err
 	}
@@ -626,7 +643,7 @@ func (p *parser) parseWhile() (ast.Node, error) {
 }
 
 func (p *parser) parseDoWhile() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("do"); err != nil {
 		return nil, err
 	}
@@ -655,7 +672,7 @@ func (p *parser) parseDoWhile() (ast.Node, error) {
 }
 
 func (p *parser) parseFor() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("for"); err != nil {
 		return nil, err
 	}
@@ -765,14 +782,14 @@ func (p *parser) parseFor() (ast.Node, error) {
 // parseForDeclaration parses `var/let/const target [= init]` without
 // consuming a semicolon, stopping before `in`/`of` when appropriate.
 func (p *parser) parseForDeclaration() (*ast.VariableDeclaration, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	kind := p.tok.StringValue
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	decl := p.arena.NewVariableDeclaration(ast.VariableDeclaration{Kind: kind})
 	for {
-		dStart := p.tok.Start
+		dStart := p.tok.Start.Offset
 		id, err := p.parseBindingTarget()
 		if err != nil {
 			return nil, err
@@ -811,7 +828,7 @@ func (p *parser) forTarget(init ast.Node) (ast.Node, error) {
 }
 
 func (p *parser) parseSwitch() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("switch"); err != nil {
 		return nil, err
 	}
@@ -830,7 +847,7 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 	}
 	sw := p.arena.NewSwitchStatement(ast.SwitchStatement{Discriminant: disc})
 	for !p.atPunct("}") {
-		cStart := p.tok.Start
+		cStart := p.tok.Start.Offset
 		c := p.arena.NewSwitchCase(ast.SwitchCase{})
 		if p.atKeyword("case") {
 			if err := p.next(); err != nil {
@@ -868,7 +885,7 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 }
 
 func (p *parser) parseReturn() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("return"); err != nil {
 		return nil, err
 	}
@@ -888,7 +905,7 @@ func (p *parser) parseReturn() (ast.Node, error) {
 }
 
 func (p *parser) parseThrow() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("throw"); err != nil {
 		return nil, err
 	}
@@ -906,7 +923,7 @@ func (p *parser) parseThrow() (ast.Node, error) {
 }
 
 func (p *parser) parseTry() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("try"); err != nil {
 		return nil, err
 	}
@@ -916,7 +933,7 @@ func (p *parser) parseTry() (ast.Node, error) {
 	}
 	stmt := p.arena.NewTryStatement(ast.TryStatement{Block: block})
 	if p.atKeyword("catch") {
-		cStart := p.tok.Start
+		cStart := p.tok.Start.Offset
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -958,7 +975,7 @@ func (p *parser) parseTry() (ast.Node, error) {
 }
 
 func (p *parser) parseBreakContinue(isBreak bool) (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -979,7 +996,7 @@ func (p *parser) parseBreakContinue(isBreak bool) (ast.Node, error) {
 }
 
 func (p *parser) parseWith() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("with"); err != nil {
 		return nil, err
 	}

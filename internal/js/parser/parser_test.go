@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -283,12 +285,25 @@ func TestDeeplyNestedGuard(t *testing.T) {
 	}
 }
 
+// TestSourceLenGuard checks the 32-bit offset limit through its helper, so
+// no 2 GiB source is ever allocated: the largest source whose offsets fit
+// passes, one byte more is a parse error.
+func TestSourceLenGuard(t *testing.T) {
+	if err := checkSourceLen(math.MaxInt32); err != nil {
+		t.Fatalf("checkSourceLen(MaxInt32) = %v, want nil", err)
+	}
+	var perr *Error
+	if err := checkSourceLen(math.MaxInt32 + 1); !errors.As(err, &perr) {
+		t.Fatalf("checkSourceLen(MaxInt32+1) = %v, want a parse error", err)
+	}
+}
+
 func TestSpansMonotonic(t *testing.T) {
 	prog := roundTrip(t, "function f(a) {\n  return a * 2;\n}\nvar r = f(21);")
 	walker.Walk(prog, func(n ast.Node, _ int) bool {
-		sp := n.Span()
-		if sp.End.Offset < sp.Start.Offset {
-			t.Fatalf("%s: end < start (%d < %d)", n.Type(), sp.End.Offset, sp.Start.Offset)
+		r := n.Range()
+		if r.End < r.Start {
+			t.Fatalf("%s: end < start (%d < %d)", n.Type(), r.End, r.Start)
 		}
 		return true
 	})

@@ -10,7 +10,7 @@ type saved struct {
 	tok        Token
 	numStored  int
 	numTokens  int
-	lastEndPos ast.Pos
+	lastEndPos int32
 }
 
 func (p *parser) save() saved {
@@ -42,7 +42,7 @@ func (p *parser) parseFunctionDeclaration(isAsync bool) (*ast.FunctionDeclaratio
 // parseFunctionDeclarationNamed parses a function declaration; allowAnon
 // permits the anonymous `export default function () {}` form.
 func (p *parser) parseFunctionDeclarationNamed(isAsync, allowAnon bool) (*ast.FunctionDeclaration, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("function"); err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func (p *parser) parseFunctionDeclarationNamed(isAsync, allowAnon bool) (*ast.Fu
 }
 
 func (p *parser) parseFunctionExpression(isAsync bool) (*ast.FunctionExpression, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("function"); err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (p *parser) parseParams() ([]ast.Node, error) {
 }
 
 func (p *parser) parseParam() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if p.atPunct("...") {
 		if err := p.next(); err != nil {
 			return nil, err
@@ -172,7 +172,7 @@ func (p *parser) parseParam() (ast.Node, error) {
 // parseBindingTarget parses an Identifier, ArrayPattern, or ObjectPattern in
 // a binding position.
 func (p *parser) parseBindingTarget() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	switch {
 	case p.at(Ident), p.tok.Kind == Keyword && isContextualName(p.tok.Lexeme):
 		id := ast.NewIdentifier(p.tok.Lexeme)
@@ -190,7 +190,7 @@ func (p *parser) parseBindingTarget() (ast.Node, error) {
 }
 
 func (p *parser) parseArrayPattern() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectPunct("["); err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (p *parser) parseArrayPattern() (ast.Node, error) {
 		var el ast.Node
 		var err error
 		if p.atPunct("...") {
-			eStart := p.tok.Start
+			eStart := p.tok.Start.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -235,14 +235,14 @@ func (p *parser) parseArrayPattern() (ast.Node, error) {
 }
 
 func (p *parser) parseObjectPattern() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
 	pat := &ast.ObjectPattern{}
 	for !p.atPunct("}") {
 		if p.atPunct("...") {
-			eStart := p.tok.Start
+			eStart := p.tok.Start.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -271,7 +271,7 @@ func (p *parser) parseObjectPattern() (ast.Node, error) {
 }
 
 func (p *parser) parsePatternProperty() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	prop := &ast.Property{Kind: "init"}
 	key, computed, err := p.parsePropertyKey()
 	if err != nil {
@@ -313,7 +313,7 @@ func (p *parser) parsePatternProperty() (ast.Node, error) {
 
 // parsePropertyKey parses an object-literal / class-member key.
 func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	switch p.tok.Kind {
 	case Ident, Keyword:
 		id := ast.NewIdentifier(p.tok.Lexeme)
@@ -362,7 +362,7 @@ func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseClassDeclaration() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	id, super, body, err := p.parseClassTail()
 	if err != nil {
 		return nil, err
@@ -371,7 +371,7 @@ func (p *parser) parseClassDeclaration() (ast.Node, error) {
 }
 
 func (p *parser) parseClassExpression() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	id, super, body, err := p.parseClassTail()
 	if err != nil {
 		return nil, err
@@ -401,7 +401,7 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 		}
 		super = s
 	}
-	bStart := p.tok.Start
+	bStart := p.tok.Start.Offset
 	if err := p.expectPunct("{"); err != nil {
 		return nil, nil, nil, err
 	}
@@ -427,7 +427,7 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 
 // parseClassMember parses one method, accessor, or class field.
 func (p *parser) parseClassMember() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	m := &ast.MethodDefinition{Kind: "method"}
 	if p.atIdentLexeme("static") {
 		save := p.save()
@@ -498,7 +498,7 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 	if id, ok := key.(*ast.Identifier); ok && !computed && id.Name == "constructor" && m.Kind == "method" && !m.Static {
 		m.Kind = "constructor"
 	}
-	fStart := p.tok.Start
+	fStart := p.tok.Start.Offset
 	params, err := p.parseParams()
 	if err != nil {
 		return nil, err
@@ -519,7 +519,7 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseImport() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	save := p.save()
 	if err := p.expectKeyword("import"); err != nil {
 		return nil, err
@@ -545,7 +545,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 		switch {
 		case p.at(Ident):
 			spec := &ast.ImportDefaultSpecifier{Local: p.identHere(p.tok.Lexeme)}
-			spec.SetSpan(spec.Local.Span())
+			spec.SetRange(spec.Local.Range())
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -561,7 +561,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 				return nil, err
 			}
 			spec := &ast.ImportNamespaceSpecifier{Local: p.identHere(p.tok.Lexeme)}
-			spec.SetSpan(spec.Local.Span())
+			spec.SetRange(spec.Local.Range())
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -586,7 +586,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 					}
 				}
 				spec := &ast.ImportSpecifier{Imported: imported, Local: local}
-				spec.SetSpan(span(imported.Span().Start, local.Span().End))
+				spec.SetRange(byteRange(imported.Range().Start, local.Range().End))
 				decl.Specifiers = append(decl.Specifiers, spec)
 				if !p.atPunct("}") {
 					if err := p.expectPunct(","); err != nil {
@@ -626,7 +626,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 }
 
 func (p *parser) parseExport() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("export"); err != nil {
 		return nil, err
 	}
@@ -694,7 +694,7 @@ func (p *parser) parseExport() (ast.Node, error) {
 				}
 			}
 			spec := &ast.ExportSpecifier{Local: local, Exported: exported}
-			spec.SetSpan(span(local.Span().Start, exported.Span().End))
+			spec.SetRange(byteRange(local.Range().Start, exported.Range().End))
 			decl.Specifiers = append(decl.Specifiers, spec)
 			if !p.atPunct("}") {
 				if err := p.expectPunct(","); err != nil {

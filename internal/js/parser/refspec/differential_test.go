@@ -1,8 +1,10 @@
 // Differential golden test: the arena parser must produce bit-identical
 // results to the refspec snapshot of the pre-arena parser. The corpus
 // generator plus every monitored transformation technique feeds both paths,
-// and the trees, spans, token streams, and comments are compared under the
-// zero-copy token contract.
+// and the trees, node byte ranges, token streams, and comments are compared
+// under the zero-copy token contract. Nodes carry no line or column; that
+// ast.Lines resolves their ranges exactly as the lexer counts is
+// TestLinesMatchLexer's job (internal/js/parser).
 package refspec_test
 
 import (
@@ -42,17 +44,18 @@ var escapeSeeds = []string{
 	"if (" + bs + "u0069f) {}", // escaped keyword spelling: both paths must reject it the same way
 }
 
-// nodeRecord is one step of a pre-order walk: the dynamic kind and the span,
-// which together pin the tree shape and every position the parser assigned.
+// nodeRecord is one step of a pre-order walk: the dynamic kind and the byte
+// range, which together pin the tree shape and every position the parser
+// assigned.
 type nodeRecord struct {
 	kind ast.Kind
-	span ast.Span
+	rng  ast.Range
 }
 
 func stream(prog *ast.Program) []nodeRecord {
 	var out []nodeRecord
 	walker.Walk(prog, func(n ast.Node, _ int) bool {
-		out = append(out, nodeRecord{n.NodeKind(), n.Span()})
+		out = append(out, nodeRecord{n.NodeKind(), n.Range()})
 		return true
 	})
 	return out
@@ -111,7 +114,7 @@ func compareParses(t *testing.T, name, src string) {
 	for i := range refStream {
 		if refStream[i] != gotStream[i] {
 			t.Fatalf("%s: node %d = %v/%v, want %v/%v", name, i,
-				gotStream[i].kind, gotStream[i].span, refStream[i].kind, refStream[i].span)
+				gotStream[i].kind, gotStream[i].rng, refStream[i].kind, refStream[i].rng)
 		}
 	}
 	if ref.NumTokens != got.NumTokens {

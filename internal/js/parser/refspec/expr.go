@@ -7,7 +7,7 @@ import (
 // parseExpression parses a (possibly comma-separated sequence) expression.
 // noIn suppresses the `in` operator, for `for (a in b)` disambiguation.
 func (p *parser) parseExpression(noIn bool) (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	first, err := p.parseAssignment(noIn)
 	if err != nil {
 		return nil, err
@@ -44,7 +44,7 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 		return nil, err
 	}
 	defer p.leave()
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 
 	if p.atKeyword("yield") {
 		return p.parseYield()
@@ -88,7 +88,7 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 }
 
 func (p *parser) parseYield() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("yield"); err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func (p *parser) parseYield() (ast.Node, error) {
 // tryParseArrow recognizes the three arrow-function head shapes with bounded
 // backtracking: `x =>`, `(params) =>`, and `async ... =>`.
 func (p *parser) tryParseArrow() (ast.Node, bool, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 
 	// `async` prefixed arrows.
 	if p.atIdentLexeme("async") {
@@ -135,7 +135,7 @@ func (p *parser) tryParseArrow() (ast.Node, bool, error) {
 // tryParseArrowTail attempts `ident =>` or `(params) =>` from the current
 // position; it restores the parser state and reports ok=false when the input
 // is not an arrow function.
-func (p *parser) tryParseArrowTail(start ast.Pos, isAsync bool) (ast.Node, bool, error) {
+func (p *parser) tryParseArrowTail(start int32, isAsync bool) (ast.Node, bool, error) {
 	if p.at(Ident) || (p.tok.Kind == Keyword && isContextualName(p.tok.Lexeme)) {
 		save := p.save()
 		name := p.identHere(p.tok.Lexeme)
@@ -173,7 +173,7 @@ func (p *parser) tryParseArrowTail(start ast.Pos, isAsync bool) (ast.Node, bool,
 		}
 		p.restore(save)
 		if p.arrowFail == nil {
-			p.arrowFail = make(map[int]bool)
+			p.arrowFail = make(map[int32]bool)
 		}
 		p.arrowFail[off] = true
 		return nil, false, nil
@@ -205,7 +205,7 @@ func (p *parser) tryParseArrowParams() ([]ast.Node, error) {
 	return params, nil
 }
 
-func (p *parser) parseArrowBody(start ast.Pos, params []ast.Node, isAsync bool) (ast.Node, error) {
+func (p *parser) parseArrowBody(start int32, params []ast.Node, isAsync bool) (ast.Node, error) {
 	if err := p.expectPunct("=>"); err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func (p *parser) parseArrowBody(start ast.Pos, params []ast.Node, isAsync bool) 
 }
 
 func (p *parser) parseConditional(noIn bool) (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	test, err := p.parseBinary(0, noIn)
 	if err != nil {
 		return nil, err
@@ -289,7 +289,7 @@ func (p *parser) binaryOp(noIn bool) (string, int) {
 
 // parseBinary is a precedence climber over binary and logical operators.
 func (p *parser) parseBinary(minPrec int, noIn bool) (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -329,7 +329,7 @@ func (p *parser) parseUnary() (ast.Node, error) {
 		return nil, err
 	}
 	defer p.leave()
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 
 	switch {
 	case p.tok.Kind == Punct && unaryOps[p.tok.Lexeme]:
@@ -391,7 +391,7 @@ func (p *parser) parseUnary() (ast.Node, error) {
 // parseLeftHandSide parses new/call/member chains, optional chaining, and
 // tagged templates.
 func (p *parser) parseLeftHandSide() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	var expr ast.Node
 	var err error
 	if p.atKeyword("new") {
@@ -406,8 +406,8 @@ func (p *parser) parseLeftHandSide() (ast.Node, error) {
 }
 
 func (p *parser) parseNew() (ast.Node, error) {
-	start := p.tok.Start
-	newEnd := p.tok.End
+	start := p.tok.Start.Offset
+	newEnd := p.tok.End.Offset
 	if err := p.expectKeyword("new"); err != nil {
 		return nil, err
 	}
@@ -421,7 +421,7 @@ func (p *parser) parseNew() (ast.Node, error) {
 			return nil, err
 		}
 		meta := ast.NewIdentifier("new")
-		meta.SetSpan(span(start, newEnd))
+		meta.SetRange(byteRange(start, newEnd))
 		return p.finish(&ast.MetaProperty{Meta: meta, Property: prop}, start), nil
 	}
 	var callee ast.Node
@@ -452,7 +452,7 @@ func (p *parser) parseNew() (ast.Node, error) {
 
 // parseMemberTail extends expr with `.name`, `[expr]`, and template tags, but
 // not call arguments (used for `new` callees).
-func (p *parser) parseMemberTail(expr ast.Node, start ast.Pos) (ast.Node, error) {
+func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 	for {
 		switch {
 		case p.atPunct("."):
@@ -487,7 +487,7 @@ func (p *parser) parseMemberTail(expr ast.Node, start ast.Pos) (ast.Node, error)
 
 // parseCallTail extends expr with member accesses, calls, optional chaining,
 // and tagged templates.
-func (p *parser) parseCallTail(expr ast.Node, start ast.Pos) (ast.Node, error) {
+func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 	for {
 		switch {
 		case p.atPunct("."), p.atPunct("["):
@@ -547,7 +547,7 @@ func (p *parser) parseCallTail(expr ast.Node, start ast.Pos) (ast.Node, error) {
 	}
 }
 
-func (p *parser) parseMemberTailOne(expr ast.Node, start ast.Pos) (ast.Node, error) {
+func (p *parser) parseMemberTailOne(expr ast.Node, start int32) (ast.Node, error) {
 	if p.atPunct(".") {
 		if err := p.next(); err != nil {
 			return nil, err
@@ -581,7 +581,7 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 	var args []ast.Node
 	for !p.atPunct(")") {
 		if p.atPunct("...") {
-			sStart := p.tok.Start
+			sStart := p.tok.Start.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -614,7 +614,7 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parsePrimary() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	switch p.tok.Kind {
 	case Ident:
 		name := p.tok.Lexeme
@@ -699,7 +699,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 			return p.parseNew()
 		case "import":
 			// Dynamic import `import(...)` or `import.meta`.
-			importEnd := p.tok.End
+			importEnd := p.tok.End.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -712,7 +712,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 					return nil, err
 				}
 				meta := ast.NewIdentifier("import")
-				meta.SetSpan(span(start, importEnd))
+				meta.SetRange(byteRange(start, importEnd))
 				return p.finish(&ast.MetaProperty{Meta: meta, Property: prop}, start), nil
 			}
 			return p.finish(ast.NewIdentifier("import"), start), nil
@@ -756,7 +756,7 @@ func (p *parser) parseParenExpression() (ast.Node, error) {
 }
 
 func (p *parser) parseArrayLiteral() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectPunct("["); err != nil {
 		return nil, err
 	}
@@ -770,7 +770,7 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 			continue
 		}
 		if p.atPunct("...") {
-			sStart := p.tok.Start
+			sStart := p.tok.Start.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -799,14 +799,14 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 }
 
 func (p *parser) parseObjectLiteral() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
 	obj := &ast.ObjectExpression{}
 	for !p.atPunct("}") {
 		if p.atPunct("...") {
-			sStart := p.tok.Start
+			sStart := p.tok.Start.Offset
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -835,7 +835,7 @@ func (p *parser) parseObjectLiteral() (ast.Node, error) {
 }
 
 func (p *parser) parseObjectProperty() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	prop := &ast.Property{Kind: "init"}
 
 	isAsync := false
@@ -880,7 +880,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 	switch {
 	case prop.Kind == "get" || prop.Kind == "set" || p.atPunct("("):
 		// Method or accessor.
-		fStart := p.tok.Start
+		fStart := p.tok.Start.Offset
 		params, err := p.parseParams()
 		if err != nil {
 			return nil, err
@@ -930,11 +930,11 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 }
 
 func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	tpl := &ast.TemplateLiteral{}
 	if p.at(NoSubstTemplate) {
 		el := &ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue, Tail: true}
-		el.SetSpan(span(p.tok.Start, p.tok.End))
+		el.SetRange(p.tokRange())
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -946,7 +946,7 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		return nil, p.errorf("expected template literal")
 	}
 	head := &ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue}
-	head.SetSpan(span(p.tok.Start, p.tok.End))
+	head.SetRange(p.tokRange())
 	tpl.Quasis = append(tpl.Quasis, head)
 	if err := p.next(); err != nil {
 		return nil, err
@@ -968,7 +968,7 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		// token after it.
 		p.tok = tok
 		el := &ast.TemplateElement{Raw: tok.Lexeme, Cooked: tok.StringValue, Tail: tok.Kind == TemplateTail}
-		el.SetSpan(span(tok.Start, tok.End))
+		el.SetRange(byteRange(tok.Start.Offset, tok.End.Offset))
 		tpl.Quasis = append(tpl.Quasis, el)
 		isTail := tok.Kind == TemplateTail
 		if err := p.next(); err != nil {
@@ -992,7 +992,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 		return expr, nil
 	case *ast.ArrayExpression:
 		pat := &ast.ArrayPattern{}
-		pat.SetSpan(v.Span())
+		pat.SetRange(v.Range())
 		for i, el := range v.Elements {
 			if el == nil {
 				pat.Elements = append(pat.Elements, nil)
@@ -1007,7 +1007,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 					return nil, err
 				}
 				rest := &ast.RestElement{Argument: arg}
-				rest.SetSpan(sp.Span())
+				rest.SetRange(sp.Range())
 				pat.Elements = append(pat.Elements, rest)
 				continue
 			}
@@ -1020,7 +1020,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 		return pat, nil
 	case *ast.ObjectExpression:
 		pat := &ast.ObjectPattern{}
-		pat.SetSpan(v.Span())
+		pat.SetRange(v.Range())
 		for _, prop := range v.Properties {
 			switch pv := prop.(type) {
 			case *ast.SpreadElement:
@@ -1029,7 +1029,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 					return nil, err
 				}
 				rest := &ast.RestElement{Argument: arg}
-				rest.SetSpan(pv.Span())
+				rest.SetRange(pv.Range())
 				pat.Properties = append(pat.Properties, rest)
 			case *ast.Property:
 				val, err := p.toPattern(pv.Value)
@@ -1040,7 +1040,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 					Key: pv.Key, Value: val, Kind: "init",
 					Computed: pv.Computed, Shorthand: pv.Shorthand,
 				}
-				np.SetSpan(pv.Span())
+				np.SetRange(pv.Range())
 				pat.Properties = append(pat.Properties, np)
 			default:
 				return nil, p.errorf("invalid destructuring property")
@@ -1056,7 +1056,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 			return nil, err
 		}
 		ap := &ast.AssignmentPattern{Left: left, Right: v.Right}
-		ap.SetSpan(v.Span())
+		ap.SetRange(v.Range())
 		return ap, nil
 	default:
 		return nil, p.errorf("invalid assignment target %s", expr.Type())

@@ -61,7 +61,7 @@ func (l *Lexer) Comments() []Comment { return l.comments }
 func (l *Lexer) TokensScanned() int { return l.scanned }
 
 func (l *Lexer) pos() ast.Pos {
-	return ast.Pos{Offset: l.off, Line: l.line, Column: l.col}
+	return ast.Pos{Offset: int32(l.off), Line: int32(l.line), Column: int32(l.col)}
 }
 
 func (l *Lexer) peekByte() byte {
@@ -685,9 +685,9 @@ func (l *Lexer) scanTemplate(start ast.Pos, head bool) (Token, error) {
 // template. The lexer rewinds to the '}' and scans a TemplateMiddle or
 // TemplateTail token from there.
 func (l *Lexer) RescanTemplateContinue(closeBrace Token) (Token, error) {
-	l.off = closeBrace.Start.Offset
-	l.line = closeBrace.Start.Line
-	l.col = closeBrace.Start.Column
+	l.off = int(closeBrace.Start.Offset)
+	l.line = int(closeBrace.Start.Line)
+	l.col = int(closeBrace.Start.Column)
 	tok, err := l.scanTemplate(closeBrace.Start, false)
 	if err != nil {
 		return Token{}, err

@@ -89,9 +89,9 @@ type parser struct {
 	tokens  []Token
 	// numTokens counts consumed tokens even when collect is false.
 	numTokens int
-	// lastEnd is the end position of the last consumed token, for span
+	// lastEnd_ is the end offset of the last consumed token, for range
 	// stamping.
-	lastEnd_ ast.Pos
+	lastEnd_ int32
 
 	// depth guards against stack exhaustion on pathological nesting.
 	depth int
@@ -99,7 +99,7 @@ type parser struct {
 	// arrowFail records byte offsets where a `(`-led arrow-head attempt
 	// already failed, so backtracking retries skip the re-attempt (keeps
 	// nested cover-grammar input from going exponential).
-	arrowFail map[int]bool
+	arrowFail map[int32]bool
 }
 
 const maxDepth = 2500
@@ -111,7 +111,7 @@ func (p *parser) next() error {
 	}
 	if p.tok.Kind != 0 {
 		p.numTokens++
-		p.lastEnd_ = p.tok.End
+		p.lastEnd_ = p.tok.End.Offset
 		if p.collect {
 			p.tokens = append(p.tokens, p.tok)
 		}
@@ -160,22 +160,25 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func span(start ast.Pos, end ast.Pos) ast.Span { return ast.Span{Start: start, End: end} }
+func byteRange(start, end int32) ast.Range { return ast.Range{Start: start, End: end} }
 
-type spanSetter interface{ SetSpan(ast.Span) }
+// tokRange is the byte range of the current token.
+func (p *parser) tokRange() ast.Range { return byteRange(p.tok.Start.Offset, p.tok.End.Offset) }
 
-func (p *parser) finish(n ast.Node, start ast.Pos) ast.Node {
-	if s, ok := n.(spanSetter); ok {
-		s.SetSpan(span(start, p.lastEnd()))
+type rangeSetter interface{ SetRange(ast.Range) }
+
+func (p *parser) finish(n ast.Node, start int32) ast.Node {
+	if s, ok := n.(rangeSetter); ok {
+		s.SetRange(byteRange(start, p.lastEnd()))
 	}
 	return n
 }
 
-func (p *parser) lastEnd() ast.Pos {
+func (p *parser) lastEnd() int32 {
 	if p.numTokens > 0 {
 		return p.lastEnd_
 	}
-	return p.tok.Start
+	return p.tok.Start.Offset
 }
 
 // identHere builds an Identifier spanning the current token. It must be
@@ -183,7 +186,7 @@ func (p *parser) lastEnd() ast.Pos {
 // see a real source range (position fidelity: no zero-span nodes).
 func (p *parser) identHere(name string) *ast.Identifier {
 	id := ast.NewIdentifier(name)
-	id.SetSpan(span(p.tok.Start, p.tok.End))
+	id.SetRange(p.tokRange())
 	return id
 }
 
@@ -191,7 +194,7 @@ func (p *parser) identHere(name string) *ast.Identifier {
 // identHere, it must be called before the token is consumed.
 func (p *parser) stringLitHere() *ast.Literal {
 	lit := &ast.Literal{Kind: ast.LiteralString, Raw: p.tok.Lexeme, String: p.tok.StringValue}
-	lit.SetSpan(span(p.tok.Start, p.tok.End))
+	lit.SetRange(p.tokRange())
 	return lit
 }
 
@@ -199,7 +202,7 @@ func (p *parser) stringLitHere() *ast.Literal {
 // reuse a parsed name, e.g. shorthand object properties).
 func cloneIdent(id *ast.Identifier) *ast.Identifier {
 	c := ast.NewIdentifier(id.Name)
-	c.SetSpan(id.Span())
+	c.SetRange(id.Range())
 	return c
 }
 
@@ -208,7 +211,7 @@ func cloneIdent(id *ast.Identifier) *ast.Identifier {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseProgram() (*ast.Program, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	prog := &ast.Program{}
 	body, err := p.parseStatementList(true)
 	if err != nil {
@@ -258,7 +261,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 	}
 	defer p.leave()
 
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	switch {
 	case p.atPunct("{"):
 		return p.parseBlock()
@@ -353,7 +356,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 }
 
 func (p *parser) parseBlock() (*ast.BlockStatement, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
@@ -370,7 +373,7 @@ func (p *parser) parseBlock() (*ast.BlockStatement, error) {
 }
 
 func (p *parser) parseExpressionStatement() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	expr, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
@@ -393,14 +396,14 @@ func (p *parser) consumeSemicolon() error {
 }
 
 func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclaration, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	kind := p.tok.Lexeme
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	decl := &ast.VariableDeclaration{Kind: kind}
 	for {
-		dStart := p.tok.Start
+		dStart := p.tok.Start.Offset
 		id, err := p.parseBindingTarget()
 		if err != nil {
 			return nil, err
@@ -433,7 +436,7 @@ func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclar
 }
 
 func (p *parser) parseIf() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("if"); err != nil {
 		return nil, err
 	}
@@ -466,7 +469,7 @@ func (p *parser) parseIf() (ast.Node, error) {
 }
 
 func (p *parser) parseWhile() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("while"); err != nil {
 		return nil, err
 	}
@@ -488,7 +491,7 @@ func (p *parser) parseWhile() (ast.Node, error) {
 }
 
 func (p *parser) parseDoWhile() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("do"); err != nil {
 		return nil, err
 	}
@@ -517,7 +520,7 @@ func (p *parser) parseDoWhile() (ast.Node, error) {
 }
 
 func (p *parser) parseFor() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("for"); err != nil {
 		return nil, err
 	}
@@ -627,14 +630,14 @@ func (p *parser) parseFor() (ast.Node, error) {
 // parseForDeclaration parses `var/let/const target [= init]` without
 // consuming a semicolon, stopping before `in`/`of` when appropriate.
 func (p *parser) parseForDeclaration() (*ast.VariableDeclaration, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	kind := p.tok.Lexeme
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	decl := &ast.VariableDeclaration{Kind: kind}
 	for {
-		dStart := p.tok.Start
+		dStart := p.tok.Start.Offset
 		id, err := p.parseBindingTarget()
 		if err != nil {
 			return nil, err
@@ -673,7 +676,7 @@ func (p *parser) forTarget(init ast.Node) (ast.Node, error) {
 }
 
 func (p *parser) parseSwitch() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("switch"); err != nil {
 		return nil, err
 	}
@@ -692,7 +695,7 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 	}
 	sw := &ast.SwitchStatement{Discriminant: disc}
 	for !p.atPunct("}") {
-		cStart := p.tok.Start
+		cStart := p.tok.Start.Offset
 		c := &ast.SwitchCase{}
 		if p.atKeyword("case") {
 			if err := p.next(); err != nil {
@@ -730,7 +733,7 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 }
 
 func (p *parser) parseReturn() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("return"); err != nil {
 		return nil, err
 	}
@@ -750,7 +753,7 @@ func (p *parser) parseReturn() (ast.Node, error) {
 }
 
 func (p *parser) parseThrow() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("throw"); err != nil {
 		return nil, err
 	}
@@ -768,7 +771,7 @@ func (p *parser) parseThrow() (ast.Node, error) {
 }
 
 func (p *parser) parseTry() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("try"); err != nil {
 		return nil, err
 	}
@@ -778,7 +781,7 @@ func (p *parser) parseTry() (ast.Node, error) {
 	}
 	stmt := &ast.TryStatement{Block: block}
 	if p.atKeyword("catch") {
-		cStart := p.tok.Start
+		cStart := p.tok.Start.Offset
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -820,7 +823,7 @@ func (p *parser) parseTry() (ast.Node, error) {
 }
 
 func (p *parser) parseBreakContinue(isBreak bool) (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -841,7 +844,7 @@ func (p *parser) parseBreakContinue(isBreak bool) (ast.Node, error) {
 }
 
 func (p *parser) parseWith() (ast.Node, error) {
-	start := p.tok.Start
+	start := p.tok.Start.Offset
 	if err := p.expectKeyword("with"); err != nil {
 		return nil, err
 	}

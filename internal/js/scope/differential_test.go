@@ -99,7 +99,7 @@ func compareBinding(t *testing.T, name string, ref *refspec.Binding, got *scope.
 	for i := range got.Refs {
 		if got.Refs[i] != ref.Refs[i] {
 			t.Fatalf("%s: binding %q ref %d = %p (%v), refspec %p (%v)", name, got.Name, i,
-				got.Refs[i], got.Refs[i].Span(), ref.Refs[i], ref.Refs[i].Span())
+				got.Refs[i], got.Refs[i].Range(), ref.Refs[i], ref.Refs[i].Range())
 		}
 	}
 }
@@ -128,11 +128,11 @@ func compareAnalyses(t *testing.T, name string, prog *ast.Program, got *scope.In
 	for _, id := range identifiers(prog) {
 		rb, gb := ref.BindingOf(id), got.BindingOf(id)
 		if (rb == nil) != (gb == nil) {
-			t.Fatalf("%s: BindingOf(%q@%v) = %v, refspec %v", name, id.Name, id.Span(), gb, rb)
+			t.Fatalf("%s: BindingOf(%q@%v) = %v, refspec %v", name, id.Name, id.Range(), gb, rb)
 		}
 		if rb != nil && (gb.Decl != rb.Decl || gb.Name != rb.Name) {
 			t.Fatalf("%s: BindingOf(%q@%v) resolves to %q@%p, refspec %q@%p",
-				name, id.Name, id.Span(), gb.Name, gb.Decl, rb.Name, rb.Decl)
+				name, id.Name, id.Range(), gb.Name, gb.Decl, rb.Name, rb.Decl)
 		}
 	}
 	compareScopes(t, name, ref.Global, got.Global)

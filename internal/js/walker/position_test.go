@@ -48,20 +48,19 @@ while (true) { switch ("1|0".split("|")[k++]) { case "0": _0x34cd(2); continue; 
 }
 
 // TestParsedNodesHavePositions asserts position fidelity end-to-end: every
-// node the parser produces carries a non-zero source span (Line is 1-based,
-// so a zero Line marks an unstamped node).
+// node the parser produces carries a real byte range. Every program here is
+// non-empty, so the zero Range marks an unstamped node.
 func TestParsedNodesHavePositions(t *testing.T) {
 	for name, src := range positionPrograms {
 		t.Run(name, func(t *testing.T) {
 			prog := mustParse(t, src)
 			Walk(prog, func(n ast.Node, _ int) bool {
-				sp := n.Span()
-				if sp.Start.Line < 1 || sp.End.Line < 1 {
-					t.Errorf("%s node has zero position: %+v (%s)",
-						n.Type(), sp, describe(src, sp))
+				r := n.Range()
+				if r == (ast.Range{}) {
+					t.Errorf("%s node has no range (%s)", n.Type(), describe(src, r))
 				}
-				if sp.End.Offset < sp.Start.Offset {
-					t.Errorf("%s node has inverted span: %+v", n.Type(), sp)
+				if r.End < r.Start || int(r.End) > len(src) {
+					t.Errorf("%s node has an inverted or out-of-source range: %+v", n.Type(), r)
 				}
 				return true
 			})
@@ -69,8 +68,8 @@ func TestParsedNodesHavePositions(t *testing.T) {
 	}
 }
 
-func describe(src string, sp ast.Span) string {
-	lo, hi := sp.Start.Offset, sp.End.Offset
+func describe(src string, r ast.Range) string {
+	lo, hi := int(r.Start), int(r.End)
 	if lo < 0 || hi > len(src) || lo >= hi {
 		return "<empty>"
 	}
