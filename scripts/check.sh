@@ -154,12 +154,15 @@ echo "$cov_out" | awk '
 if [ "${BENCH:-0}" = "1" ]; then
     echo "== benchmark regression gate =="
     ./scripts/bench.sh
-    # The arena parse path is the most recent hard-won speedup, so it gets a
-    # tighter gate than the fleet-wide ±15%: StageParse time and allocs both
-    # at ±10% against the same checked-in baseline. A single benchmark is
-    # cheap, so fold min-of-8 — the shared host drifts ±10-15% between
-    # multi-minute windows, and a deeper fold is the only way a ±10% timing
-    # gate stays signal rather than coin flip.
+    # The arena parse path and the 12-byte node header (a byte range plus
+    # the NodeID; lines and columns come from ast.Lines only for reported
+    # diagnostics) are the hard-won parse savings, so StageParse gets a
+    # tighter gate than the fleet-wide ±15%: time, allocs and B/op all at
+    # ±10% against the checked-in baseline, which holds B/op near 29 MB/op
+    # (it was 51.5 while every node carried a 48-byte line/column span). A
+    # single benchmark is cheap, so fold min-of-8 — the shared host drifts
+    # ±10-15% between multi-minute windows, and a deeper fold is the only
+    # way a ±10% timing gate stays signal rather than coin flip.
     echo "== benchmark regression gate (StageParse, ±10%) =="
     BENCH_PATTERN='BenchmarkStageParse$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
     # The fused scope/flow plane gets the same focused treatment: the dense
