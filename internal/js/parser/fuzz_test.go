@@ -10,7 +10,7 @@ import (
 // FuzzParse checks the parser never panics, that anything it accepts
 // round-trips through the printer to a fixed point, and that the arena
 // parser agrees with the refspec snapshot of the pre-arena parser on every
-// input the fuzzer invents.
+// input the fuzzer invents, down to the text of a rejection.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`var x = 1;`,
@@ -53,7 +53,12 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("arena/reference disagree on acceptance: arena %v, reference %v\ninput: %q", err, refErr, src)
 		}
 		if err != nil {
-			return // rejecting is fine; panicking is not
+			// Rejecting is fine, panicking is not; the reason and its line
+			// and column must be the reference's.
+			if err.Error() != refErr.Error() {
+				t.Fatalf("arena/reference errors differ:\narena:     %v\nreference: %v\ninput: %q", err, refErr, src)
+			}
+			return
 		}
 		out := printer.Compact(prog)
 		if refOut := printer.Compact(refProg); refOut != out {

@@ -185,7 +185,7 @@ func (p *parser) parseBindingTarget() (ast.Node, error) {
 	case p.atPunct("{"):
 		return p.parseObjectPattern()
 	default:
-		return nil, p.errorf("expected binding target, found %q", p.tok.Lexeme)
+		return nil, p.errorf("expected binding target, found %q", p.tokSource())
 	}
 }
 
@@ -354,7 +354,7 @@ func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
 			return key, true, nil
 		}
 	}
-	return nil, false, p.errorf("expected property key, found %q", p.tok.Lexeme)
+	return nil, false, p.errorf("expected property key, found %q", p.tokSource())
 }
 
 // ---------------------------------------------------------------------------
@@ -598,7 +598,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 				return nil, err
 			}
 		default:
-			return nil, p.errorf("unexpected token in import: %q", p.tok.Lexeme)
+			return nil, p.errorf("unexpected token in import: %q", p.tokSource())
 		}
 		if ok, err := p.eatPunct(","); err != nil {
 			return nil, err
@@ -737,7 +737,7 @@ func (p *parser) parseExport() (ast.Node, error) {
 			}
 			inner, err = p.parseFunctionDeclaration(true)
 		default:
-			return nil, p.errorf("unexpected token after export: %q", p.tok.Lexeme)
+			return nil, p.errorf("unexpected token after export: %q", p.tokSource())
 		}
 		if err != nil {
 			return nil, err

@@ -1,10 +1,11 @@
 // Differential golden test: the arena parser must produce bit-identical
 // results to the refspec snapshot of the pre-arena parser. The corpus
 // generator plus every monitored transformation technique feeds both paths,
-// and the trees, node byte ranges, token streams, and comments are compared
-// under the zero-copy token contract. Nodes carry no line or column; that
-// ast.Lines resolves their ranges exactly as the lexer counts is
-// TestLinesMatchLexer's job (internal/js/parser).
+// whole and cut short, and the trees, node byte ranges, token streams,
+// comments and the text of every rejection (its line and column included)
+// are compared under the zero-copy token contract. Nodes carry no line or
+// column; that ast.Lines resolves their ranges exactly as the lexer counts is
+// TestLinesMatchLexer's job (internal/js/lexer).
 package refspec_test
 
 import (
@@ -42,6 +43,60 @@ var escapeSeeds = []string{
 	"`" + bs + "u0041${x}" + bs + "x42`",
 	"var w = 'a\xFFb';",
 	"if (" + bs + "u0069f) {}", // escaped keyword spelling: both paths must reject it the same way
+}
+
+// lineEdges are sources whose line bookkeeping the corpus never exercises:
+// every terminator the lexer counts (LF, CR, CRLF, U+2028, U+2029) between
+// tokens and inside strings (as line continuations), comments and
+// templates; 0xE2-led runes that are not terminators; invalid UTF-8; a
+// missing final newline; trailing trivia; HTML comments; and nothing at all.
+var lineEdges = []string{
+	"",
+	"\n",
+	"var a = 1",
+	"var a = 1;\n\n  // tail",
+	"var a = 1;\r\nif (a) {\r\n  a = [a, 2][0];\r\n}\r\n",
+	"var a = 1;\r/* x\r y */\rb = a /\r2;\r",
+	"var a = 1;\r\n\r/* x\r\n\n y */\n\r",
+	"var a = 1;\u2028var b = 2;\u2029c = a + b;",
+	"var s = 'a\\\u2028b\\\u2029c' + 'd\\\r\ne\\\rf\\\ng';\nx = s;",
+	"var s = \"a\u2028b\u2029c\";\nx = s;",
+	"// a\u2028var hidden = 1;\n/* b\u2029c */\nx = 1;",
+	"var t = `a\u2028b${1}\u2029c${`d\r\ne${2}`}\rf`;\nx = t;",
+	"var t = `a\nb${ {k: 1}.k }c\r\nd`; y = /re—[x]/g.test(t);",
+	"var dash = \"—✓€\"; // — comment\nvar q = dash;",
+	"var café = \"naïve ✓\"; var π = 3.14;\nvar _0xé1 = café + π;",
+	"var w = 'a\xFFb\xE2\x80';\nvar v = 2;",
+	"<!-- html comment\nx = 1;\n--> close comment\ny = 2;",
+}
+
+// corpusInputs is the generated corpus the differential runs on: three
+// regular files plus the first under every transform, then six more regular
+// files each under all ten transforms.
+func corpusInputs(t *testing.T) []corpus.File {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	files := corpus.RegularSet(3, rng)
+	base := files[0]
+	for _, tech := range transform.Techniques {
+		out, err := corpus.Apply(base, rng, tech)
+		if err != nil {
+			t.Fatalf("apply %s: %v", tech, err)
+		}
+		files = append(files, out)
+	}
+	rng = rand.New(rand.NewSource(31))
+	for _, b := range corpus.RegularSet(6, rng) {
+		files = append(files, b)
+		for _, tech := range transform.Techniques {
+			out, err := corpus.Apply(b, rng, tech)
+			if err != nil {
+				t.Fatalf("apply %s to %s: %v", tech, b.Name, err)
+			}
+			files = append(files, out)
+		}
+	}
+	return files
 }
 
 // nodeRecord is one step of a pre-order walk: the dynamic kind and the byte
@@ -94,7 +149,10 @@ func compareToken(t *testing.T, name string, i int, src string, ref refspec.Toke
 	}
 }
 
-func compareParses(t *testing.T, name, src string) {
+// compareParses parses src with both parsers and requires identical results,
+// or identical error text when both reject it. It reports whether src was
+// rejected.
+func compareParses(t *testing.T, name, src string) (rejected bool) {
 	t.Helper()
 	ref, refErr := refspec.Parse(src)
 	got, gotErr := parser.Parse(src)
@@ -102,7 +160,10 @@ func compareParses(t *testing.T, name, src string) {
 		t.Fatalf("%s: reference error %v, arena error %v", name, refErr, gotErr)
 	}
 	if refErr != nil {
-		return
+		if refErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: error differs\nreference: %v\narena:     %v", name, refErr, gotErr)
+		}
+		return true
 	}
 	if want, have := printer.Compact(ref.Program), printer.Compact(got.Program); want != have {
 		t.Fatalf("%s: printed output differs\nreference: %s\narena:     %s", name, want, have)
@@ -135,24 +196,51 @@ func compareParses(t *testing.T, name, src string) {
 			t.Fatalf("%s: comment %d = %+v, want %+v", name, i, g, r)
 		}
 	}
+	return false
 }
 
-// TestArenaParserMatchesReference drives generated corpus files plus one
-// output per monitored transformation technique through the reference parser
-// and the arena parser and requires identical results.
+// TestArenaParserMatchesReference drives generated corpus files and their
+// transformed outputs through the reference parser and the arena parser and
+// requires identical results.
 func TestArenaParserMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	files := corpus.RegularSet(3, rng)
-	base := files[0]
-	for _, tech := range transform.Techniques {
-		out, err := corpus.Apply(base, rng, tech)
-		if err != nil {
-			t.Fatalf("apply %s: %v", tech, err)
-		}
-		files = append(files, out)
-	}
-	for i, f := range files {
+	for i, f := range corpusInputs(t) {
 		compareParses(t, fmt.Sprintf("%s#%d", f.Name, i), f.Source)
+	}
+}
+
+// TestArenaParserMatchesReferenceOnTruncations cuts every corpus input at
+// k/24 of its length. Most cuts are rejected — an unterminated string,
+// template, comment or block, or a rune split in two — so this is where the
+// error text, with its line and column, is compared. Inputs over 64 KB are
+// left out: they are the seven no-alphanumeric outputs (~400 KB each, 97% of
+// the corpus bytes, one line of []()!+), whose cuts would multiply the
+// test's time by thirty and all end in the same few errors on line 1.
+func TestArenaParserMatchesReferenceOnTruncations(t *testing.T) {
+	const cuts, maxLen = 24, 64 << 10
+	inputs, rejected := 0, 0
+	for i, f := range corpusInputs(t) {
+		if len(f.Source) > maxLen {
+			continue
+		}
+		for k := 1; k < cuts; k++ {
+			n := len(f.Source) * k / cuts
+			if compareParses(t, fmt.Sprintf("%s#%d cut at %d", f.Name, i, n), f.Source[:n]) {
+				rejected++
+			}
+			inputs++
+		}
+	}
+	t.Logf("%d of %d truncated inputs rejected", rejected, inputs)
+	if rejected == 0 {
+		t.Fatal("no truncated input was rejected; the error text was never compared")
+	}
+}
+
+// TestArenaParserMatchesReferenceOnLineEdges covers the line terminators
+// and non-ASCII bytes the generated corpus rarely contains.
+func TestArenaParserMatchesReferenceOnLineEdges(t *testing.T) {
+	for i, src := range lineEdges {
+		compareParses(t, fmt.Sprintf("line edge %d", i), src)
 	}
 }
 

@@ -460,7 +460,7 @@ func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 				return nil, err
 			}
 			if p.tok.Kind != Ident && p.tok.Kind != Keyword && p.tok.Kind != PrivateIdent {
-				return nil, p.errorf("expected property name, found %q", p.tok.Lexeme)
+				return nil, p.errorf("expected property name, found %q", p.tokSource())
 			}
 			prop := p.identHere(p.tok.Lexeme)
 			if err := p.next(); err != nil {
@@ -521,7 +521,7 @@ func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 				expr = p.finish(&ast.MemberExpression{Object: expr, Property: prop, Computed: true, Optional: true}, start)
 			default:
 				if p.tok.Kind != Ident && p.tok.Kind != Keyword && p.tok.Kind != PrivateIdent {
-					return nil, p.errorf("expected property name after ?., found %q", p.tok.Lexeme)
+					return nil, p.errorf("expected property name after ?., found %q", p.tokSource())
 				}
 				prop := p.identHere(p.tok.Lexeme)
 				if err := p.next(); err != nil {
@@ -553,7 +553,7 @@ func (p *parser) parseMemberTailOne(expr ast.Node, start int32) (ast.Node, error
 			return nil, err
 		}
 		if p.tok.Kind != Ident && p.tok.Kind != Keyword && p.tok.Kind != PrivateIdent {
-			return nil, p.errorf("expected property name, found %q", p.tok.Lexeme)
+			return nil, p.errorf("expected property name, found %q", p.tokSource())
 		}
 		prop := p.identHere(p.tok.Lexeme)
 		if err := p.next(); err != nil {
@@ -724,7 +724,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 			}
 			return p.finish(id, start), nil
 		}
-		return nil, p.errorf("unexpected keyword %q", p.tok.Lexeme)
+		return nil, p.errorf("unexpected keyword %q", p.tokSource())
 	case Punct:
 		switch p.tok.Lexeme {
 		case "(":
@@ -735,7 +735,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 			return p.parseObjectLiteral()
 		}
 	}
-	return nil, p.errorf("unexpected token %q", p.tok.Lexeme)
+	return nil, p.errorf("unexpected token %q", p.tokSource())
 }
 
 // parseParenExpression parses `( expr )` including sequences. Arrow heads are
@@ -958,7 +958,7 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		}
 		tpl.Expressions = append(tpl.Expressions, expr)
 		if !p.atPunct("}") {
-			return nil, p.errorf("expected '}' in template substitution, found %q", p.tok.Lexeme)
+			return nil, p.errorf("expected '}' in template substitution, found %q", p.tokSource())
 		}
 		tok, err := p.lex.RescanTemplateContinue(p.tok)
 		if err != nil {

@@ -124,6 +124,11 @@ func (p *parser) errorf(format string, args ...any) error {
 	return &parseError{Pos: p.tok.Start, Msg: fmt.Sprintf(format, args...)}
 }
 
+// tokSource is the current token's source text, which error messages
+// quote. Lexeme is not it for an identifier: this lexer decodes escapes
+// into Lexeme, while the arena lexer's Lexeme is always the source slice.
+func (p *parser) tokSource() string { return p.src[p.tok.Start.Offset:p.tok.End.Offset] }
+
 func (p *parser) at(kind Kind) bool           { return p.tok.Kind == kind }
 func (p *parser) atPunct(s string) bool       { return p.tok.IsPunct(s) }
 func (p *parser) atKeyword(s string) bool     { return p.tok.IsKeyword(s) }
@@ -131,14 +136,14 @@ func (p *parser) atIdentLexeme(s string) bool { return p.tok.Kind == Ident && p.
 
 func (p *parser) expectPunct(s string) error {
 	if !p.atPunct(s) {
-		return p.errorf("expected %q, found %q", s, p.tok.Lexeme)
+		return p.errorf("expected %q, found %q", s, p.tokSource())
 	}
 	return p.next()
 }
 
 func (p *parser) expectKeyword(s string) error {
 	if !p.atKeyword(s) {
-		return p.errorf("expected keyword %q, found %q", s, p.tok.Lexeme)
+		return p.errorf("expected keyword %q, found %q", s, p.tokSource())
 	}
 	return p.next()
 }
@@ -392,7 +397,7 @@ func (p *parser) consumeSemicolon() error {
 	if p.atPunct("}") || p.at(EOF) || p.tok.NewlineBefore {
 		return nil
 	}
-	return p.errorf("missing semicolon before %q", p.tok.Lexeme)
+	return p.errorf("missing semicolon before %q", p.tokSource())
 }
 
 func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclaration, error) {
@@ -711,7 +716,7 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 				return nil, err
 			}
 		} else {
-			return nil, p.errorf("expected case or default, found %q", p.tok.Lexeme)
+			return nil, p.errorf("expected case or default, found %q", p.tokSource())
 		}
 		if err := p.expectPunct(":"); err != nil {
 			return nil, err
