@@ -706,7 +706,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 		return p.parseTemplateLiteral()
 	case lexer.PrivateIdent:
 		// `#field in obj` (ES2022): treat as identifier reference.
-		id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.Lexeme})
+		id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.StringValue})
 		if err := p.next(); err != nil {
 			return nil, err
 		}

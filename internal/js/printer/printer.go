@@ -90,7 +90,8 @@ func (p *printer) emit(s string) {
 	if p.sb.Len() > 0 {
 		prev := p.sb.String()[p.sb.Len()-1]
 		c := s[0]
-		if needsSpace(prev, c) {
+		// `a < !--b` must not merge into an HTML open comment, `<!--`.
+		if needsSpace(prev, c) || c == '-' && strings.HasSuffix(p.sb.String(), "<!") {
 			p.sb.WriteByte(' ')
 		}
 	}
@@ -630,18 +631,7 @@ func (p *printer) printExprInner(n ast.Node) {
 		p.emit(".")
 		p.emit(v.Property.Name)
 	case *ast.ArrayExpression:
-		p.emit("[")
-		for i, el := range v.Elements {
-			if i > 0 {
-				p.emit(",")
-				p.space()
-			}
-			if el == nil {
-				continue
-			}
-			p.printExpr(el, precAssignment)
-		}
-		p.emit("]")
+		p.printElements(v.Elements)
 	case *ast.ObjectExpression:
 		p.printObject(v.Properties)
 	case *ast.Property:
@@ -758,18 +748,7 @@ func (p *printer) printExprInner(n ast.Node) {
 		p.space()
 		p.printExpr(v.Right, precAssignment)
 	case *ast.ArrayPattern:
-		p.emit("[")
-		for i, el := range v.Elements {
-			if i > 0 {
-				p.emit(",")
-				p.space()
-			}
-			if el == nil {
-				continue
-			}
-			p.printExpr(el, precAssignment)
-		}
-		p.emit("]")
+		p.printElements(v.Elements)
 	case *ast.ObjectPattern:
 		p.printObject(v.Properties)
 	default:
@@ -1046,6 +1025,26 @@ func (p *printer) printMethod(m *ast.MethodDefinition) {
 	p.printBlock(fn.Body)
 }
 
+// printElements prints the elements of an array literal or pattern, nil
+// for a hole. A trailing hole needs a comma of its own: `[a,,]` printed as
+// `[a,]` would lose it.
+func (p *printer) printElements(els []ast.Node) {
+	p.emit("[")
+	for i, el := range els {
+		if i > 0 {
+			p.emit(",")
+			p.space()
+		}
+		if el != nil {
+			p.printExpr(el, precAssignment)
+		}
+	}
+	if n := len(els); n > 0 && els[n-1] == nil {
+		p.emit(",")
+	}
+	p.emit("]")
+}
+
 func (p *printer) printTemplate(t *ast.TemplateLiteral) {
 	p.emit("`")
 	for i, q := range t.Quasis {
@@ -1069,6 +1068,10 @@ func escapeTemplate(s string) string {
 			sb.WriteString("\\\\")
 		case '$':
 			sb.WriteString("\\$")
+		case '\r':
+			// A raw CR would be re-lexed as a line terminator and merged
+			// with a following LF, so the escape keeps the cooked value.
+			sb.WriteString("\\r")
 		default:
 			sb.WriteRune(r)
 		}

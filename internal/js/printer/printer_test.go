@@ -34,6 +34,10 @@ func TestCompactOutput(t *testing.T) {
 		`x = function () { return 1; };`:    `x=function(){return 1;};`,
 		`x = -(-y);`:                        `x=- -y;`,
 		`x = +(+y);`:                        `x=+ +y;`,
+		`x = a < !--b;`:                     `x=a<! --b;`,
+		`x = [a, , ];`:                      `x=[a,,];`,
+		`[, ] = x;`:                         `[,]=x;`,
+		"x = `a\\r\\nb`;":                   "x=`a\\r\nb`;",
 		`x = 1000000;`:                      `x=1e6;`,
 		`x = {a: 1};`:                       `x={a:1};`,
 		`delete a.b;`:                       `delete a.b;`,
