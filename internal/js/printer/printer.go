@@ -927,17 +927,28 @@ func (p *printer) printFunction(kw string, id *ast.Identifier, params []ast.Node
 	p.printBlock(body)
 }
 
+// bareParam returns the single identifier parameter an arrow prints without
+// parentheses, or nil. After async the parser takes a bare parameter only
+// from an identifier token, so the keyword-spelled yield, await and let keep
+// their parentheses there.
+func bareParam(v *ast.ArrowFunctionExpression) *ast.Identifier {
+	if len(v.Params) != 1 {
+		return nil
+	}
+	id, ok := v.Params[0].(*ast.Identifier)
+	if !ok || v.Async && (id.Name == "yield" || id.Name == "await" || id.Name == "let") {
+		return nil
+	}
+	return id
+}
+
 func (p *printer) printArrow(v *ast.ArrowFunctionExpression) {
 	if v.Async {
 		p.emit("async")
 		p.sb.WriteByte(' ')
 	}
-	if len(v.Params) == 1 {
-		if id, ok := v.Params[0].(*ast.Identifier); ok {
-			p.emit(id.Name)
-		} else {
-			p.printParams(v.Params)
-		}
+	if id := bareParam(v); id != nil {
+		p.emit(id.Name)
 	} else {
 		p.printParams(v.Params)
 	}

@@ -37,6 +37,7 @@ func TestCompactOutput(t *testing.T) {
 		`x = a < !--b;`:                     `x=a<! --b;`,
 		`x = [a, , ];`:                      `x=[a,,];`,
 		`[, ] = x;`:                         `[,]=x;`,
+		`f = async (await) => 1;`:           `f=async (await)=>1;`,
 		"x = `a\\r\\nb`;":                   "x=`a\\r\nb`;",
 		`x = 1000000;`:                      `x=1e6;`,
 		`x = {a: 1};`:                       `x={a:1};`,
