@@ -94,9 +94,7 @@ func containsStringWith(n ast.Node, pred func(string) bool) bool {
 			found = true
 			return
 		}
-		for _, c := range ast.Children(n) {
-			visit(c)
-		}
+		ast.EachChild(n, visit)
 	}
 	visit(n)
 	return found

@@ -410,9 +410,7 @@ func subtreeDecodes(n ast.Node) bool {
 				return
 			}
 		}
-		for _, c := range ast.Children(n) {
-			visit(c)
-		}
+		ast.EachChild(n, visit)
 	}
 	visit(n)
 	return found

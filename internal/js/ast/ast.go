@@ -6,13 +6,14 @@
 //
 // Positions follow go/token: a node stores only the byte Range it covers,
 // and Lines, a per-file table of line starts, resolves an offset to its
-// line and column when something (a reported diagnostic) needs them.
-// Offsets are int32; the parser rejects sources of 2 GiB or more.
+// line and column when something (a reported diagnostic or a parse error)
+// needs them. Offsets are int32; the parser rejects sources of 2 GiB or
+// more.
 package ast
 
-// Pos is a byte offset plus line/column location in the original source.
-// Tokens, comments and errors carry it; nodes carry only a Range, and a
-// diagnostic resolves its line and column through Lines. The JSON tags keep
+// Pos is a byte offset plus line/column location in the original source,
+// as Lines resolves it for a reported diagnostic or a parse error. Nodes,
+// tokens and comments carry only offsets. The JSON tags keep
 // serialized diagnostics (internal/analysis) in one consistent lowercase
 // style.
 type Pos struct {

@@ -6,10 +6,11 @@ import (
 )
 
 // Lines maps the byte offsets of one source to lines and columns, the way
-// go/token's File maps a Pos. Nodes carry only a Range; a diagnostic that
-// is reported resolves its Span here. It counts exactly the lexer's line
+// go/token's File maps a Pos. It is the one place that computes them: nodes,
+// tokens and comments carry only offsets, and a reported diagnostic or a
+// parse error resolves its position here. It counts the JavaScript line
 // terminators: LF, CR, CRLF (one terminator), U+2028 and U+2029; a column
-// is the number of bytes since the line's start, as the lexer counts it.
+// is the number of bytes since the line's start.
 type Lines struct {
 	// starts[i] is the offset at which line i+1 begins; starts[0] is 0.
 	starts []int32

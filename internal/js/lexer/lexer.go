@@ -10,7 +10,9 @@ import (
 	"repro/internal/js/ast"
 )
 
-// Error is a lexical error with a source position.
+// Error is a lexical error with a source position. The lexer fills in only
+// the offset; the parser resolves the line and column, through ast.Lines,
+// of the one error it returns.
 type Error struct {
 	Pos ast.Pos
 	Msg string
@@ -23,17 +25,18 @@ func (e *Error) Error() string {
 // Lexer scans JavaScript source into tokens. Construct with New, or reuse a
 // zero/used Lexer by calling Reset.
 //
+// Positions are byte offsets only: tokens, comments and errors carry them,
+// and ast.Lines turns an offset into a line and column when one is
+// reported, so no scan loop counts lines.
+//
 // Token values are zero-copy: for tokens without escapes (the overwhelming
 // majority), Lexeme and StringValue are slices of the source buffer. Only
-// tokens that actually contain escape sequences (or the handful of cases
-// where the decoded value cannot equal the raw bytes: invalid UTF-8, '\r'
-// normalization in templates, U+2028/U+2029 line tracking) fall back to a
-// strings.Builder on a separate slow path.
+// tokens that actually contain escape sequences (or the cases where the
+// decoded value cannot equal the raw bytes: invalid UTF-8 and '\r' in
+// templates) fall back to a strings.Builder on a separate slow path.
 type Lexer struct {
-	src  string
-	off  int // current byte offset
-	line int // current line, 1-based
-	col  int // current column, 0-based
+	src string
+	off int // current byte offset
 
 	// prevKind and prevWord track the previous significant token for the
 	// regex-vs-division decision. Only the kind plus one string matter
@@ -75,8 +78,6 @@ func New(src string) *Lexer {
 func (l *Lexer) Reset(src string) {
 	l.src = src
 	l.off = 0
-	l.line = 1
-	l.col = 0
 	l.prevKind = 0
 	l.prevWord = ""
 	l.hasPrev = false
@@ -94,11 +95,9 @@ func (l *Lexer) Comments() []Comment { return l.comments }
 // token count measures backtracking overhead.
 func (l *Lexer) TokensScanned() int { return l.scanned }
 
-// pos reports the current position. The parser rejects sources of 2 GiB or
-// more before lexing, so the conversions never wrap.
-func (l *Lexer) pos() ast.Pos {
-	return ast.Pos{Offset: int32(l.off), Line: int32(l.line), Column: int32(l.col)}
-}
+// pos reports the current offset. The parser rejects sources of 2 GiB or
+// more before lexing, so the conversion never wraps.
+func (l *Lexer) pos() int32 { return int32(l.off) }
 
 func (l *Lexer) peekByte() byte {
 	if l.off >= len(l.src) {
@@ -121,27 +120,19 @@ func (l *Lexer) peekRune() (rune, int) {
 	return utf8.DecodeRuneInString(l.src[l.off:])
 }
 
-// advance consumes n bytes that are known to contain no line terminators.
-func (l *Lexer) advance(n int) {
-	l.off += n
-	l.col += n
-}
+// advance consumes n bytes.
+func (l *Lexer) advance(n int) { l.off += n }
 
-// advanceRune consumes one rune, tracking line/column across terminators.
+// advanceRune consumes one rune. A CR takes the LF after it along: CRLF is
+// one line terminator, both to a line continuation and to a template's
+// cooked value.
 //
 //jslint:hotpath
 func (l *Lexer) advanceRune() rune {
 	r, size := utf8.DecodeRuneInString(l.src[l.off:])
 	l.off += size
-	if isLineTerminator(r) {
-		// Treat \r\n as a single terminator.
-		if r == '\r' && l.peekByte() == '\n' {
-			l.off++
-		}
-		l.line++
-		l.col = 0
-	} else {
-		l.col += size
+	if r == '\r' && l.peekByte() == '\n' {
+		l.off++
 	}
 	return r
 }
@@ -195,74 +186,23 @@ func (l *Lexer) skipTrivia() error {
 		switch b {
 		case ' ', '\t', '\v', '\f':
 			l.off++
-			l.col++
 			continue
-		case '\n':
+		case '\n', '\r':
 			l.off++
-			l.line++
-			l.col = 0
-			l.newlineBefore = true
-			continue
-		case '\r':
-			l.off++
-			if l.off < len(l.src) && l.src[l.off] == '\n' {
-				l.off++
-			}
-			l.line++
-			l.col = 0
 			l.newlineBefore = true
 			continue
 		}
 		if b < utf8.RuneSelf {
 			switch {
 			case b == '/' && l.peekByteAt(1) == '/':
-				start := l.pos()
-				l.advance(2)
-				textStart := l.off
-				for l.off < len(l.src) {
-					r2, _ := l.peekRune()
-					if isLineTerminator(r2) {
-						break
-					}
-					l.advanceRune()
-				}
-				l.comments = append(l.comments, Comment{
-					Span: ast.Span{Start: start, End: l.pos()},
-					Text: l.src[textStart:l.off],
-				})
+				l.lineComment(2)
 			case b == '<' && strings.HasPrefix(l.src[l.off:], "<!--"):
 				// HTML open comment: browsers treat the rest of the line as a
 				// comment (sloppy-mode web reality).
-				start := l.pos()
-				l.advance(4)
-				textStart := l.off
-				for l.off < len(l.src) {
-					r2, _ := l.peekRune()
-					if isLineTerminator(r2) {
-						break
-					}
-					l.advanceRune()
-				}
-				l.comments = append(l.comments, Comment{
-					Span: ast.Span{Start: start, End: l.pos()},
-					Text: l.src[textStart:l.off],
-				})
+				l.lineComment(4)
 			case b == '-' && l.newlineBefore && strings.HasPrefix(l.src[l.off:], "-->"):
 				// HTML close comment at line start: rest of line is a comment.
-				start := l.pos()
-				l.advance(3)
-				textStart := l.off
-				for l.off < len(l.src) {
-					r2, _ := l.peekRune()
-					if isLineTerminator(r2) {
-						break
-					}
-					l.advanceRune()
-				}
-				l.comments = append(l.comments, Comment{
-					Span: ast.Span{Start: start, End: l.pos()},
-					Text: l.src[textStart:l.off],
-				})
+				l.lineComment(3)
 			case b == '/' && l.peekByteAt(1) == '*':
 				start := l.pos()
 				l.advance(2)
@@ -279,12 +219,12 @@ func (l *Lexer) skipTrivia() error {
 					}
 				}
 				if !closed {
-					return &Error{Pos: start, Msg: "unterminated block comment"} //jslint:ignore hotpath-noalloc error path terminates the scan
+					return &Error{Pos: ast.Pos{Offset: start}, Msg: "unterminated block comment"} //jslint:ignore hotpath-noalloc error path terminates the scan
 				}
 				text := l.src[textStart:l.off]
 				l.advance(2)
 				l.comments = append(l.comments, Comment{
-					Span:  ast.Span{Start: start, End: l.pos()},
+					Range: ast.Range{Start: start, End: l.pos()},
 					Text:  text,
 					Block: true,
 				})
@@ -309,28 +249,47 @@ func (l *Lexer) skipTrivia() error {
 	return nil
 }
 
+// lineComment consumes a comment that runs to the end of the line: the
+// n-byte opener (//, <!-- or -->) and the text after it.
+//
+//jslint:hotpath
+func (l *Lexer) lineComment(n int) {
+	start := l.pos()
+	l.advance(n)
+	textStart := l.off
+	for l.off < len(l.src) {
+		if r, _ := l.peekRune(); isLineTerminator(r) {
+			break
+		}
+		l.advanceRune()
+	}
+	l.comments = append(l.comments, Comment{
+		Range: ast.Range{Start: start, End: l.pos()},
+		Text:  l.src[textStart:l.off],
+	})
+}
+
 // State is an opaque snapshot of lexer progress, used by the parser for
 // bounded backtracking (e.g. arrow-function cover grammar).
 type State struct {
-	off, line, col int
-	prevKind       Kind
-	prevWord       string
-	hasPrev        bool
-	numComments    int
+	off         int
+	prevKind    Kind
+	prevWord    string
+	hasPrev     bool
+	numComments int
 }
 
 // Save captures the current lexer state.
 func (l *Lexer) Save() State {
 	return State{
-		off: l.off, line: l.line, col: l.col,
-		prevKind: l.prevKind, prevWord: l.prevWord, hasPrev: l.hasPrev,
+		off: l.off, prevKind: l.prevKind, prevWord: l.prevWord, hasPrev: l.hasPrev,
 		numComments: len(l.comments),
 	}
 }
 
 // Restore rewinds the lexer to a previously saved state.
 func (l *Lexer) Restore(s State) {
-	l.off, l.line, l.col = s.off, s.line, s.col
+	l.off = s.off
 	l.prevKind, l.prevWord, l.hasPrev = s.prevKind, s.prevWord, s.hasPrev
 	l.comments = l.comments[:s.numComments]
 }
@@ -344,7 +303,7 @@ func (l *Lexer) Next() (Token, error) {
 
 // NextInto scans the next token into *tok, the copy-free form of Next: the
 // parser hands in its own current-token slot and every scanner writes the
-// fields in place, so a ~130-byte Token is never passed through three
+// fields in place, so a 96-byte Token is never passed through three
 // return frames per token. On error *tok is the zero Token. Dispatch is on
 // the lead byte; only non-ASCII lead bytes decode a rune.
 //
@@ -449,7 +408,7 @@ func (l *Lexer) regexAllowed() bool {
 // which is the only way an identifier token ever owns memory.
 //
 //jslint:hotpath
-func (l *Lexer) scanIdentOrKeyword(start ast.Pos, tok *Token) error {
+func (l *Lexer) scanIdentOrKeyword(start int32, tok *Token) error {
 	startOff := l.off
 	for l.off < len(l.src) {
 		b := l.src[l.off]
@@ -465,7 +424,6 @@ func (l *Lexer) scanIdentOrKeyword(start ast.Pos, tok *Token) error {
 				break
 			}
 			l.off++
-			l.col++
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(l.src[l.off:])
@@ -473,11 +431,10 @@ func (l *Lexer) scanIdentOrKeyword(start ast.Pos, tok *Token) error {
 			break
 		}
 		l.off += size
-		l.col += size
 	}
 	name := l.src[startOff:l.off]
 	if name == "" {
-		return &Error{Pos: start, Msg: "expected identifier"} //jslint:ignore hotpath-noalloc error path terminates the scan
+		return &Error{Pos: ast.Pos{Offset: start}, Msg: "expected identifier"} //jslint:ignore hotpath-noalloc error path terminates the scan
 	}
 	kind := Ident
 	if isKeywordName(name) {
@@ -498,7 +455,7 @@ func (l *Lexer) scanIdentOrKeyword(start ast.Pos, tok *Token) error {
 // escape. The clean prefix already consumed by the fast path seeds the
 // builder; Lexeme stays the raw source slice while StringValue owns the
 // decoded name.
-func (l *Lexer) scanIdentSlow(start ast.Pos, startOff int, tok *Token) error {
+func (l *Lexer) scanIdentSlow(start int32, startOff int, tok *Token) error {
 	var sb strings.Builder
 	sb.WriteString(l.src[startOff:l.off])
 	for l.off < len(l.src) {
@@ -506,7 +463,7 @@ func (l *Lexer) scanIdentSlow(start ast.Pos, startOff int, tok *Token) error {
 		if r == '\\' {
 			// Unicode escape in identifier: \uXXXX or \u{...}.
 			if l.peekByteAt(1) != 'u' {
-				return &Error{Pos: l.pos(), Msg: "bad escape in identifier"}
+				return &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "bad escape in identifier"}
 			}
 			l.advance(2)
 			cp, err := l.scanUnicodeEscape()
@@ -516,7 +473,7 @@ func (l *Lexer) scanIdentSlow(start ast.Pos, startOff int, tok *Token) error {
 			// The escaped codepoint must itself be a legal identifier
 			// character.
 			if sb.Len() == 0 && !isIdentStart(cp) || sb.Len() > 0 && !isIdentPart(cp) {
-				return &Error{Pos: start, Msg: fmt.Sprintf("escape %q is not a valid identifier character", cp)}
+				return &Error{Pos: ast.Pos{Offset: start}, Msg: fmt.Sprintf("escape %q is not a valid identifier character", cp)}
 			}
 			sb.WriteRune(cp)
 			continue
@@ -532,7 +489,7 @@ func (l *Lexer) scanIdentSlow(start ast.Pos, startOff int, tok *Token) error {
 	}
 	name := sb.String()
 	if name == "" {
-		return &Error{Pos: start, Msg: "expected identifier"}
+		return &Error{Pos: ast.Pos{Offset: start}, Msg: "expected identifier"}
 	}
 	kind := Ident
 	if isKeywordName(name) {
@@ -548,13 +505,13 @@ func (l *Lexer) scanIdentSlow(start ast.Pos, startOff int, tok *Token) error {
 // "#"+lexeme concatenation only survives on the rare escaped path.
 //
 //jslint:hotpath
-func (l *Lexer) scanPrivateIdent(start ast.Pos, tok *Token) error {
+func (l *Lexer) scanPrivateIdent(start int32, tok *Token) error {
 	l.advance(1) // '#'
 	if err := l.scanIdentOrKeyword(l.pos(), tok); err != nil {
 		return err
 	}
 	tok.Kind = PrivateIdent
-	tok.Lexeme = l.src[start.Offset:l.off]
+	tok.Lexeme = l.src[start:l.off]
 	if len(tok.StringValue) == len(tok.Lexeme)-1 {
 		// Escape-free: the decoded name is the raw name, so the decoded
 		// private name is the raw lexeme.
@@ -575,21 +532,21 @@ func (l *Lexer) scanUnicodeEscape() (rune, error) {
 			l.advance(1)
 		}
 		if l.off >= len(l.src) {
-			return 0, &Error{Pos: l.pos(), Msg: "unterminated unicode escape"}
+			return 0, &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "unterminated unicode escape"}
 		}
 		v, err := strconv.ParseUint(l.src[startOff:l.off], 16, 32)
 		if err != nil {
-			return 0, &Error{Pos: l.pos(), Msg: "bad unicode escape"}
+			return 0, &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "bad unicode escape"}
 		}
 		l.advance(1) // '}'
 		return rune(v), nil
 	}
 	if l.off+4 > len(l.src) {
-		return 0, &Error{Pos: l.pos(), Msg: "truncated unicode escape"}
+		return 0, &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "truncated unicode escape"}
 	}
 	v, err := strconv.ParseUint(l.src[l.off:l.off+4], 16, 32)
 	if err != nil {
-		return 0, &Error{Pos: l.pos(), Msg: "bad unicode escape"}
+		return 0, &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "bad unicode escape"}
 	}
 	l.advance(4)
 	return rune(v), nil
@@ -615,19 +572,17 @@ func (l *Lexer) digits(pred func(byte) bool) {
 		b := l.src[l.off]
 		if b == '_' && l.off+1 < len(l.src) && pred(l.src[l.off+1]) {
 			l.off++
-			l.col++
 			continue
 		}
 		if !pred(b) {
 			break
 		}
 		l.off++
-		l.col++
 	}
 }
 
 //jslint:hotpath
-func (l *Lexer) scanNumber(start ast.Pos, tok *Token) error {
+func (l *Lexer) scanNumber(start int32, tok *Token) error {
 	startOff := l.off
 
 	if l.peekByte() == '0' && l.off+1 < len(l.src) {
@@ -693,7 +648,7 @@ func (l *Lexer) scanNumber(start ast.Pos, tok *Token) error {
 // copy) for the common separator-free literal.
 //
 //jslint:hotpath
-func (l *Lexer) finishNumber(start ast.Pos, startOff, base int, tok *Token) error {
+func (l *Lexer) finishNumber(start int32, startOff, base int, tok *Token) error {
 	raw := l.src[startOff:l.off]
 	clean := strings.ReplaceAll(strings.TrimSuffix(raw, "n"), "_", "")
 	var v float64
@@ -716,7 +671,7 @@ func (l *Lexer) finishNumber(start ast.Pos, startOff, base int, tok *Token) erro
 		v = float64(u)
 	}
 	if err != nil {
-		return &Error{Pos: start, Msg: fmt.Sprintf("bad number literal %q", raw)} //jslint:ignore hotpath-noalloc error path terminates the scan
+		return &Error{Pos: ast.Pos{Offset: start}, Msg: fmt.Sprintf("bad number literal %q", raw)} //jslint:ignore hotpath-noalloc error path terminates the scan
 	}
 	*tok = Token{Kind: Number, Lexeme: raw, NumberValue: v, Start: start, End: l.pos()}
 	return nil
@@ -725,21 +680,18 @@ func (l *Lexer) finishNumber(start ast.Pos, startOff, base int, tok *Token) erro
 // scanString scans a quoted string literal. The fast path is a byte loop
 // that, on an escape-free literal, slices StringValue out of the source
 // between the quotes. It diverts to scanStringSlow on a backslash and on
-// the rare inputs whose decoded value cannot alias the raw bytes: invalid
-// UTF-8 (decodes to U+FFFD) and U+2028/U+2029 (legal here, but they
-// advance the line counter).
+// invalid UTF-8 (which decodes to U+FFFD), the only inputs whose decoded
+// value cannot alias the raw bytes.
 //
 //jslint:hotpath
-func (l *Lexer) scanString(start ast.Pos, quote byte, tok *Token) error {
+func (l *Lexer) scanString(start int32, quote byte, tok *Token) error {
 	startOff := l.off
 	l.off++ // opening quote
-	l.col++
 	for l.off < len(l.src) {
 		b := l.src[l.off]
 		switch {
 		case b == quote:
 			l.off++
-			l.col++
 			raw := l.src[startOff:l.off]
 			*tok = Token{
 				Kind:        String,
@@ -752,31 +704,29 @@ func (l *Lexer) scanString(start ast.Pos, quote byte, tok *Token) error {
 		case b == '\\':
 			return l.scanStringSlow(start, startOff, quote, tok)
 		case b == '\n' || b == '\r':
-			return &Error{Pos: l.pos(), Msg: "newline in string literal"} //jslint:ignore hotpath-noalloc error path terminates the scan
+			return &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "newline in string literal"} //jslint:ignore hotpath-noalloc error path terminates the scan
 		case b < utf8.RuneSelf:
 			l.off++
-			l.col++
 		default:
 			r, size := utf8.DecodeRuneInString(l.src[l.off:])
-			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			if r == utf8.RuneError && size == 1 {
 				return l.scanStringSlow(start, startOff, quote, tok)
 			}
 			l.off += size
-			l.col += size
 		}
 	}
-	return &Error{Pos: start, Msg: "unterminated string literal"} //jslint:ignore hotpath-noalloc error path terminates the scan
+	return &Error{Pos: ast.Pos{Offset: start}, Msg: "unterminated string literal"} //jslint:ignore hotpath-noalloc error path terminates the scan
 }
 
 // scanStringSlow finishes a string literal whose decoded value differs
 // from its raw bytes. The clean prefix already consumed by the fast path
 // seeds the builder.
-func (l *Lexer) scanStringSlow(start ast.Pos, startOff int, quote byte, tok *Token) error {
+func (l *Lexer) scanStringSlow(start int32, startOff int, quote byte, tok *Token) error {
 	var sb strings.Builder
 	sb.WriteString(l.src[startOff+1 : l.off])
 	for {
 		if l.off >= len(l.src) {
-			return &Error{Pos: start, Msg: "unterminated string literal"}
+			return &Error{Pos: ast.Pos{Offset: start}, Msg: "unterminated string literal"}
 		}
 		b := l.peekByte()
 		if b == quote {
@@ -792,7 +742,7 @@ func (l *Lexer) scanStringSlow(start ast.Pos, startOff int, quote byte, tok *Tok
 		}
 		r, _ := l.peekRune()
 		if r == '\n' || r == '\r' {
-			return &Error{Pos: l.pos(), Msg: "newline in string literal"}
+			return &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "newline in string literal"}
 		}
 		sb.WriteRune(r)
 		l.advanceRune()
@@ -810,7 +760,7 @@ func (l *Lexer) scanStringSlow(start ast.Pos, startOff int, quote byte, tok *Tok
 // scanEscape decodes one escape sequence after the backslash.
 func (l *Lexer) scanEscape(sb *strings.Builder) error {
 	if l.off >= len(l.src) {
-		return &Error{Pos: l.pos(), Msg: "truncated escape sequence"}
+		return &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "truncated escape sequence"}
 	}
 	r, _ := l.peekRune()
 	if isLineTerminator(r) {
@@ -844,7 +794,7 @@ func (l *Lexer) scanEscape(sb *strings.Builder) error {
 	case 'x':
 		l.advance(1)
 		if l.off+2 > len(l.src) || !isHexDigit(l.src[l.off]) || !isHexDigit(l.src[l.off+1]) {
-			return &Error{Pos: l.pos(), Msg: "bad hex escape"}
+			return &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "bad hex escape"}
 		}
 		v, _ := strconv.ParseUint(l.src[l.off:l.off+2], 16, 16)
 		sb.WriteRune(rune(v))
@@ -887,20 +837,18 @@ func (l *Lexer) scanOctalEscape(sb *strings.Builder) error {
 // at a backtick; otherwise it starts at the '}' that closes a substitution.
 // The fast path slices the cooked value out of the source between the
 // delimiters; it diverts to scanTemplateSlow on a backslash and on the
-// inputs where cooked != raw or line tracking differs from a byte count:
-// '\r' (normalized), invalid UTF-8, and U+2028/U+2029.
+// inputs where cooked != raw: '\r' (CRLF is one terminator) and invalid
+// UTF-8.
 //
 //jslint:hotpath
-func (l *Lexer) scanTemplate(start ast.Pos, head bool, tok *Token) error {
+func (l *Lexer) scanTemplate(start int32, head bool, tok *Token) error {
 	startOff := l.off
 	l.off++ // '`' or '}'
-	l.col++
 	for l.off < len(l.src) {
 		b := l.src[l.off]
 		switch {
 		case b == '`':
 			l.off++
-			l.col++
 			kind := TemplateTail
 			if head {
 				kind = NoSubstTemplate
@@ -916,7 +864,6 @@ func (l *Lexer) scanTemplate(start ast.Pos, head bool, tok *Token) error {
 			return nil
 		case b == '$' && l.off+1 < len(l.src) && l.src[l.off+1] == '{':
 			l.off += 2
-			l.col += 2
 			kind := TemplateMiddle
 			if head {
 				kind = TemplateHead
@@ -932,34 +879,28 @@ func (l *Lexer) scanTemplate(start ast.Pos, head bool, tok *Token) error {
 			return nil
 		case b == '\\' || b == '\r':
 			return l.scanTemplateSlow(start, startOff, head, tok)
-		case b == '\n':
-			l.off++
-			l.line++
-			l.col = 0
 		case b < utf8.RuneSelf:
 			l.off++
-			l.col++
 		default:
 			r, size := utf8.DecodeRuneInString(l.src[l.off:])
-			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			if r == utf8.RuneError && size == 1 {
 				return l.scanTemplateSlow(start, startOff, head, tok)
 			}
 			l.off += size
-			l.col += size
 		}
 	}
-	return &Error{Pos: start, Msg: "unterminated template literal"} //jslint:ignore hotpath-noalloc error path terminates the scan
+	return &Error{Pos: ast.Pos{Offset: start}, Msg: "unterminated template literal"} //jslint:ignore hotpath-noalloc error path terminates the scan
 }
 
 // scanTemplateSlow finishes a template chunk whose cooked value differs
-// from its raw bytes (escapes, '\r' normalization, invalid UTF-8). The
-// clean prefix already consumed by the fast path seeds the builder.
-func (l *Lexer) scanTemplateSlow(start ast.Pos, startOff int, head bool, tok *Token) error {
+// from its raw bytes (escapes, CRLF, invalid UTF-8). The clean prefix
+// already consumed by the fast path seeds the builder.
+func (l *Lexer) scanTemplateSlow(start int32, startOff int, head bool, tok *Token) error {
 	var sb strings.Builder
 	sb.WriteString(l.src[startOff+1 : l.off])
 	for {
 		if l.off >= len(l.src) {
-			return &Error{Pos: start, Msg: "unterminated template literal"}
+			return &Error{Pos: ast.Pos{Offset: start}, Msg: "unterminated template literal"}
 		}
 		b := l.peekByte()
 		if b == '`' {
@@ -1009,9 +950,7 @@ func (l *Lexer) scanTemplateSlow(start ast.Pos, startOff int, head bool, tok *To
 // template. The lexer rewinds to the '}' and scans a TemplateMiddle or
 // TemplateTail token from there.
 func (l *Lexer) RescanTemplateContinue(closeBrace Token) (Token, error) {
-	l.off = int(closeBrace.Start.Offset)
-	l.line = int(closeBrace.Start.Line)
-	l.col = int(closeBrace.Start.Column)
+	l.off = int(closeBrace.Start)
 	var tok Token
 	if err := l.scanTemplate(closeBrace.Start, false, &tok); err != nil {
 		return Token{}, err
@@ -1021,17 +960,17 @@ func (l *Lexer) RescanTemplateContinue(closeBrace Token) (Token, error) {
 	return tok, nil
 }
 
-func (l *Lexer) scanRegex(start ast.Pos, tok *Token) error {
+func (l *Lexer) scanRegex(start int32, tok *Token) error {
 	startOff := l.off
 	l.advance(1) // '/'
 	inClass := false
 	for {
 		if l.off >= len(l.src) {
-			return &Error{Pos: start, Msg: "unterminated regular expression"}
+			return &Error{Pos: ast.Pos{Offset: start}, Msg: "unterminated regular expression"}
 		}
 		r, _ := l.peekRune()
 		if isLineTerminator(r) {
-			return &Error{Pos: l.pos(), Msg: "newline in regular expression"}
+			return &Error{Pos: ast.Pos{Offset: l.pos()}, Msg: "newline in regular expression"}
 		}
 		if r == '\\' {
 			l.advance(1)
@@ -1095,7 +1034,7 @@ var punctsByFirst = [utf8.RuneSelf][]string{
 }
 
 //jslint:hotpath
-func (l *Lexer) scanPunct(start ast.Pos, tok *Token) error {
+func (l *Lexer) scanPunct(start int32, tok *Token) error {
 	rest := l.src[l.off:]
 	if len(rest) > 0 && rest[0] < utf8.RuneSelf {
 		for _, p := range punctsByFirst[rest[0]] {
@@ -1121,5 +1060,5 @@ func (l *Lexer) scanPunct(start ast.Pos, tok *Token) error {
 		}
 	}
 	r, _ := l.peekRune()
-	return &Error{Pos: start, Msg: fmt.Sprintf("unexpected character %q", r)} //jslint:ignore hotpath-noalloc error path terminates the scan
+	return &Error{Pos: ast.Pos{Offset: start}, Msg: fmt.Sprintf("unexpected character %q", r)} //jslint:ignore hotpath-noalloc error path terminates the scan
 }

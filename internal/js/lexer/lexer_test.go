@@ -276,16 +276,15 @@ func TestKeywordRecognition(t *testing.T) {
 	}
 }
 
+// TestPositions: tokens carry byte offsets only; ast.Lines resolves them,
+// and the refspec differential pins what it resolves to the reference.
 func TestPositions(t *testing.T) {
 	toks := scanAll(t, "ab\n cd")
-	if toks[0].Start.Line != 1 || toks[0].Start.Column != 0 {
-		t.Fatalf("ab at %+v", toks[0].Start)
+	if toks[0].Start != 0 || toks[0].End != 2 {
+		t.Fatalf("ab at [%d, %d), want [0, 2)", toks[0].Start, toks[0].End)
 	}
-	if toks[1].Start.Line != 2 || toks[1].Start.Column != 1 {
-		t.Fatalf("cd at %+v", toks[1].Start)
-	}
-	if toks[1].Start.Offset != 4 {
-		t.Fatalf("cd offset = %d", toks[1].Start.Offset)
+	if toks[1].Start != 4 || toks[1].End != 6 {
+		t.Fatalf("cd at [%d, %d), want [4, 6)", toks[1].Start, toks[1].End)
 	}
 }
 
@@ -366,9 +365,11 @@ func TestHTMLComments(t *testing.T) {
 
 // TestZeroAllocScanning pins the zero-copy contract: once the comment
 // buffer is warm, scanning escape-free source must not allocate at all —
-// every Lexeme and StringValue is a slice of the source buffer.
+// every Lexeme and StringValue is a slice of the source buffer, also for a
+// string or template holding a raw U+2028 or U+2029.
 func TestZeroAllocScanning(t *testing.T) {
-	src := strings.Repeat("var abc = 'hello' + 12.5; // note\nfoo.bar(baz, `tpl`, #x); ", 40)
+	src := strings.Repeat("var abc = 'hello' + 12.5; // note\nfoo.bar(baz, `tpl`, #x); "+
+		"s = 'a\u2028b\u2029c' + `d\u2029e\u2028f`; ", 40)
 	l := New(src)
 	drain := func() {
 		l.Reset(src)

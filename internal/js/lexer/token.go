@@ -71,8 +71,9 @@ func (k Kind) String() string {
 type Token struct {
 	Kind   Kind
 	Lexeme string // raw source text of the token
-	Start  ast.Pos
-	End    ast.Pos
+	// Start and End are the byte offsets of the token's first byte and of
+	// the byte after it; ast.Lines resolves them to lines and columns.
+	Start, End int32
 	// NewlineBefore is true when a line terminator appears between the
 	// previous token and this one; the parser needs it for automatic
 	// semicolon insertion.
@@ -100,9 +101,9 @@ func (t Token) IsKeyword(s string) bool { return t.Kind == Keyword && t.StringVa
 // Comment is a source comment, retained for token-level features such as the
 // comment-to-code ratio that distinguishes minified from regular scripts.
 type Comment struct {
-	Span  ast.Span
-	Text  string // comment text without delimiters
-	Block bool   // true for /* */ comments
+	Range ast.Range // byte range, delimiters included
+	Text  string    // comment text without delimiters
+	Block bool      // true for /* */ comments
 }
 
 // isKeywordName reports whether name is a reserved word tokenized as

@@ -43,7 +43,7 @@ func (p *parser) parseFunctionDeclaration(isAsync bool) (*ast.FunctionDeclaratio
 // parseFunctionDeclarationNamed parses a function declaration; allowAnon
 // permits the anonymous `export default function () {}` form.
 func (p *parser) parseFunctionDeclarationNamed(isAsync, allowAnon bool) (*ast.FunctionDeclaration, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("function"); err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func (p *parser) parseFunctionDeclarationNamed(isAsync, allowAnon bool) (*ast.Fu
 }
 
 func (p *parser) parseFunctionExpression(isAsync bool) (*ast.FunctionExpression, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("function"); err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func (p *parser) parseParams() ([]ast.Node, error) {
 }
 
 func (p *parser) parseParam() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if p.atPunct("...") {
 		if err := p.next(); err != nil {
 			return nil, err
@@ -173,7 +173,7 @@ func (p *parser) parseParam() (ast.Node, error) {
 // parseBindingTarget parses an Identifier, ArrayPattern, or ObjectPattern in
 // a binding position.
 func (p *parser) parseBindingTarget() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	switch {
 	case p.at(lexer.Ident), p.tok.Kind == lexer.Keyword && isContextualName(p.tok.StringValue):
 		id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.StringValue})
@@ -191,7 +191,7 @@ func (p *parser) parseBindingTarget() (ast.Node, error) {
 }
 
 func (p *parser) parseArrayPattern() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectPunct("["); err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func (p *parser) parseArrayPattern() (ast.Node, error) {
 		var el ast.Node
 		var err error
 		if p.atPunct("...") {
-			eStart := p.tok.Start.Offset
+			eStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -236,14 +236,14 @@ func (p *parser) parseArrayPattern() (ast.Node, error) {
 }
 
 func (p *parser) parseObjectPattern() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
 	pat := p.arena.NewObjectPattern(ast.ObjectPattern{})
 	for !p.atPunct("}") {
 		if p.atPunct("...") {
-			eStart := p.tok.Start.Offset
+			eStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -272,7 +272,7 @@ func (p *parser) parseObjectPattern() (ast.Node, error) {
 }
 
 func (p *parser) parsePatternProperty() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	prop := p.arena.NewProperty(ast.Property{Kind: "init"})
 	key, computed, err := p.parsePropertyKey()
 	if err != nil {
@@ -314,7 +314,7 @@ func (p *parser) parsePatternProperty() (ast.Node, error) {
 
 // parsePropertyKey parses an object-literal / class-member key.
 func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	switch p.tok.Kind {
 	case lexer.Ident, lexer.Keyword:
 		id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.StringValue})
@@ -363,7 +363,7 @@ func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseClassDeclaration() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	id, super, body, err := p.parseClassTail()
 	if err != nil {
 		return nil, err
@@ -372,7 +372,7 @@ func (p *parser) parseClassDeclaration() (ast.Node, error) {
 }
 
 func (p *parser) parseClassExpression() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	id, super, body, err := p.parseClassTail()
 	if err != nil {
 		return nil, err
@@ -402,7 +402,7 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 		}
 		super = s
 	}
-	bStart := p.tok.Start.Offset
+	bStart := p.tok.Start
 	if err := p.expectPunct("{"); err != nil {
 		return nil, nil, nil, err
 	}
@@ -428,7 +428,7 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 
 // parseClassMember parses one method, accessor, or class field.
 func (p *parser) parseClassMember() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	m := p.arena.NewMethodDefinition(ast.MethodDefinition{Kind: "method"})
 	if p.atIdentName("static") {
 		save := p.save()
@@ -499,7 +499,7 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 	if id, ok := key.(*ast.Identifier); ok && !computed && id.Name == "constructor" && m.Kind == "method" && !m.Static {
 		m.Kind = "constructor"
 	}
-	fStart := p.tok.Start.Offset
+	fStart := p.tok.Start
 	params, err := p.parseParams()
 	if err != nil {
 		return nil, err
@@ -520,7 +520,7 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseImport() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	save := p.save()
 	if err := p.expectKeyword("import"); err != nil {
 		return nil, err
@@ -627,7 +627,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 }
 
 func (p *parser) parseExport() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("export"); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 // parseExpression parses a (possibly comma-separated sequence) expression.
 // noIn suppresses the `in` operator, for `for (a in b)` disambiguation.
 func (p *parser) parseExpression(noIn bool) (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	first, err := p.parseAssignment(noIn)
 	if err != nil {
 		return nil, err
@@ -54,7 +54,7 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 		return nil, err
 	}
 	defer p.leave()
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 
 	if p.atKeyword("yield") {
 		return p.parseYield()
@@ -98,7 +98,7 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 }
 
 func (p *parser) parseYield() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("yield"); err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func (p *parser) parseYield() (ast.Node, error) {
 // tryParseArrow recognizes the three arrow-function head shapes with bounded
 // backtracking: `x =>`, `(params) =>`, and `async ... =>`.
 func (p *parser) tryParseArrow() (ast.Node, bool, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 
 	// `async` prefixed arrows.
 	if p.atIdentName("async") {
@@ -168,7 +168,7 @@ func (p *parser) tryParseArrowTail(start int32, isAsync bool) (ast.Node, bool, e
 		// nested cover-grammar input such as `(a = (b = (c = ...` is
 		// re-attempted as an arrow head once per enclosing retry, doubling
 		// the work at every nesting level (exponential parse time).
-		off := p.tok.Start.Offset
+		off := p.tok.Start
 		if p.arrowFail[off] {
 			return nil, false, nil
 		}
@@ -238,7 +238,7 @@ func (p *parser) parseArrowBody(start int32, params []ast.Node, isAsync bool) (a
 }
 
 func (p *parser) parseConditional(noIn bool) (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	test, err := p.parseBinary(0, noIn)
 	if err != nil {
 		return nil, err
@@ -321,7 +321,7 @@ func (p *parser) binaryOp(noIn bool) (string, int) {
 
 // parseBinary is a precedence climber over binary and logical operators.
 func (p *parser) parseBinary(minPrec int, noIn bool) (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -373,7 +373,7 @@ func (p *parser) parseUnary() (ast.Node, error) {
 }
 
 func (p *parser) parseUnaryInner() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 
 	switch {
 	case p.tok.Kind == lexer.Punct && isUnaryOp(p.tok.Lexeme):
@@ -435,7 +435,7 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 // parseLeftHandSide parses new/call/member chains, optional chaining, and
 // tagged templates.
 func (p *parser) parseLeftHandSide() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	var expr ast.Node
 	var err error
 	if p.atKeyword("new") {
@@ -450,8 +450,8 @@ func (p *parser) parseLeftHandSide() (ast.Node, error) {
 }
 
 func (p *parser) parseNew() (ast.Node, error) {
-	start := p.tok.Start.Offset
-	newEnd := p.tok.End.Offset
+	start := p.tok.Start
+	newEnd := p.tok.End
 	if err := p.expectKeyword("new"); err != nil {
 		return nil, err
 	}
@@ -625,7 +625,7 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 	var args []ast.Node
 	for !p.atPunct(")") {
 		if p.atPunct("...") {
-			sStart := p.tok.Start.Offset
+			sStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -658,7 +658,7 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parsePrimary() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	switch p.tok.Kind {
 	case lexer.Ident:
 		name := p.tok.StringValue
@@ -743,7 +743,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 			return p.parseNew()
 		case "import":
 			// Dynamic import `import(...)` or `import.meta`.
-			importEnd := p.tok.End.Offset
+			importEnd := p.tok.End
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -800,7 +800,7 @@ func (p *parser) parseParenExpression() (ast.Node, error) {
 }
 
 func (p *parser) parseArrayLiteral() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectPunct("["); err != nil {
 		return nil, err
 	}
@@ -814,7 +814,7 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 			continue
 		}
 		if p.atPunct("...") {
-			sStart := p.tok.Start.Offset
+			sStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -843,14 +843,14 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 }
 
 func (p *parser) parseObjectLiteral() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
 	obj := p.arena.NewObjectExpression(ast.ObjectExpression{})
 	for !p.atPunct("}") {
 		if p.atPunct("...") {
-			sStart := p.tok.Start.Offset
+			sStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -879,7 +879,7 @@ func (p *parser) parseObjectLiteral() (ast.Node, error) {
 }
 
 func (p *parser) parseObjectProperty() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	prop := p.arena.NewProperty(ast.Property{Kind: "init"})
 
 	isAsync := false
@@ -924,7 +924,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 	switch {
 	case prop.Kind == "get" || prop.Kind == "set" || p.atPunct("("):
 		// Method or accessor.
-		fStart := p.tok.Start.Offset
+		fStart := p.tok.Start
 		params, err := p.parseParams()
 		if err != nil {
 			return nil, err
@@ -974,7 +974,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 }
 
 func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	tpl := p.arena.NewTemplateLiteral(ast.TemplateLiteral{})
 	if p.at(lexer.NoSubstTemplate) {
 		el := p.arena.NewTemplateElement(ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue, Tail: true})
@@ -1012,7 +1012,7 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		// token after it.
 		p.tok = tok
 		el := p.arena.NewTemplateElement(ast.TemplateElement{Raw: tok.Lexeme, Cooked: tok.StringValue, Tail: tok.Kind == lexer.TemplateTail})
-		el.SetRange(byteRange(tok.Start.Offset, tok.End.Offset))
+		el.SetRange(byteRange(tok.Start, tok.End))
 		tpl.Quasis = append(tpl.Quasis, el)
 		isTail := tok.Kind == lexer.TemplateTail
 		if err := p.next(); err != nil {

@@ -3,6 +3,7 @@ package parser
 import (
 	"testing"
 
+	"repro/internal/js/ast"
 	"repro/internal/js/parser/refspec"
 	"repro/internal/js/printer"
 )
@@ -10,7 +11,9 @@ import (
 // FuzzParse checks the parser never panics, that anything it accepts
 // round-trips through the printer to a fixed point, and that the arena
 // parser agrees with the refspec snapshot of the pre-arena parser on every
-// input the fuzzer invents, down to the text of a rejection.
+// input the fuzzer invents: the same tree, the same token and comment
+// offsets, with ast.Lines resolving each to the line and column the
+// reference counted, and the same text for a rejection.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`var x = 1;`,
@@ -47,8 +50,8 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := ParseProgram(src)
-		refProg, refErr := refspec.ParseProgram(src)
+		res, err := Parse(src)
+		ref, refErr := refspec.Parse(src)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("arena/reference disagree on acceptance: arena %v, reference %v\ninput: %q", err, refErr, src)
 		}
@@ -60,9 +63,25 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		out := printer.Compact(prog)
-		if refOut := printer.Compact(refProg); refOut != out {
+		out := printer.Compact(res.Program)
+		if refOut := printer.Compact(ref.Program); refOut != out {
 			t.Fatalf("arena tree diverges from reference:\ninput: %q\narena: %q\nreference: %q", src, out, refOut)
+		}
+		if len(res.Tokens) != len(ref.Tokens) || len(res.Comments) != len(ref.Comments) {
+			t.Fatalf("arena has %d tokens and %d comments, reference %d and %d\ninput: %q",
+				len(res.Tokens), len(res.Comments), len(ref.Tokens), len(ref.Comments), src)
+		}
+		lines := ast.NewLines(src)
+		for i, tok := range res.Tokens {
+			r := ref.Tokens[i]
+			if got := lines.Span(ast.Range{Start: tok.Start, End: tok.End}); got != (ast.Span{Start: r.Start, End: r.End}) {
+				t.Fatalf("token %d %q at %+v, reference %+v-%+v\ninput: %q", i, tok.Lexeme, got, r.Start, r.End, src)
+			}
+		}
+		for i, c := range res.Comments {
+			if got := lines.Span(c.Range); got != ref.Comments[i].Span {
+				t.Fatalf("comment %d at %+v, reference %+v\ninput: %q", i, got, ref.Comments[i].Span, src)
+			}
 		}
 		prog2, err := ParseProgram(out)
 		if err != nil {

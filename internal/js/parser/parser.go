@@ -28,7 +28,9 @@ var parses atomic.Int64
 // test hook for parse-once assertions, not a performance counter.
 func Parses() int64 { return parses.Load() }
 
-// Error is a parse error with a source position.
+// Error is a parse error with a source position. The parser builds it with
+// the offset alone and resolves the line and column once, for the error it
+// returns.
 type Error struct {
 	Pos ast.Pos
 	Msg string
@@ -163,11 +165,11 @@ func (p *parser) parse(src string, collectTokens, collectKinds bool) (res *Resul
 		}()
 	}
 	if err := p.next(); err != nil {
-		return nil, err
+		return nil, locate(src, err)
 	}
 	prog, err := p.parseProgram()
 	if err != nil {
-		return nil, err
+		return nil, locate(src, err)
 	}
 	out.Program = prog
 	// Stamp dense pre-order NodeIDs and collect the kind stream in the same
@@ -192,6 +194,19 @@ func (p *parser) parse(src string, collectTokens, collectKinds bool) (res *Resul
 	out.NumTokens = p.numTokens
 	out.Comments = append([]lexer.Comment(nil), p.lex.Comments()...)
 	return out, nil
+}
+
+// locate resolves the line and column of the error a parse returns. Errors
+// are built with their offset alone, so the ones cover-grammar backtracking
+// throws away never pay for a line table.
+func locate(src string, err error) error {
+	switch e := err.(type) {
+	case *Error:
+		e.Pos = ast.NewLines(src).Pos(e.Pos.Offset)
+	case *lexer.Error:
+		e.Pos = ast.NewLines(src).Pos(e.Pos.Offset)
+	}
+	return err
 }
 
 // ParseProgram parses source and returns only the AST root (tokens are not
@@ -246,24 +261,24 @@ const maxDepth = 2500
 func (p *parser) next() error {
 	if p.tok.Kind != 0 {
 		p.numTokens++
-		p.lastEnd_ = p.tok.End.Offset
+		p.lastEnd_ = p.tok.End
 		if p.collect {
 			p.tokens = append(p.tokens, p.tok)
 		}
 	}
 	// NextInto writes the new token straight into p.tok — the lexer and
-	// parser share the one Token slot, so no ~130-byte struct is copied
+	// parser share the one Token slot, so no 96-byte struct is copied
 	// per token.
 	return p.lex.NextInto(&p.tok)
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	return &Error{Pos: p.tok.Start, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: ast.Pos{Offset: p.tok.Start}, Msg: fmt.Sprintf(format, args...)}
 }
 
 // at, atPunct, and atKeyword test fields on p.tok directly rather than
 // going through the Token value-receiver helpers, which would copy the
-// whole ~130-byte struct on every probe.
+// whole 96-byte struct on every probe.
 func (p *parser) at(kind lexer.Kind) bool { return p.tok.Kind == kind }
 func (p *parser) atPunct(s string) bool {
 	return p.tok.Kind == lexer.Punct && p.tok.Lexeme == s
@@ -309,7 +324,7 @@ func (p *parser) leave() { p.depth-- }
 func byteRange(start, end int32) ast.Range { return ast.Range{Start: start, End: end} }
 
 // tokRange is the byte range of the current token.
-func (p *parser) tokRange() ast.Range { return byteRange(p.tok.Start.Offset, p.tok.End.Offset) }
+func (p *parser) tokRange() ast.Range { return byteRange(p.tok.Start, p.tok.End) }
 
 type rangeSetter interface{ SetRange(ast.Range) }
 
@@ -330,7 +345,7 @@ func (p *parser) lastEnd() int32 {
 	if p.numTokens > 0 {
 		return p.lastEnd_
 	}
-	return p.tok.Start.Offset
+	return p.tok.Start
 }
 
 // identHere builds an Identifier spanning the current token. It must be
@@ -363,7 +378,7 @@ func (p *parser) cloneIdent(id *ast.Identifier) *ast.Identifier {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseProgram() (*ast.Program, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	prog := p.arena.NewProgram(ast.Program{})
 	body, err := p.parseStatementList(true)
 	if err != nil {
@@ -413,7 +428,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 	}
 	defer p.leave()
 
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	switch {
 	case p.atPunct("{"):
 		return p.parseBlock()
@@ -508,7 +523,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 }
 
 func (p *parser) parseBlock() (*ast.BlockStatement, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
@@ -525,7 +540,7 @@ func (p *parser) parseBlock() (*ast.BlockStatement, error) {
 }
 
 func (p *parser) parseExpressionStatement() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	expr, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
@@ -548,14 +563,14 @@ func (p *parser) consumeSemicolon() error {
 }
 
 func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclaration, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	kind := p.tok.StringValue
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	decl := p.arena.NewVariableDeclaration(ast.VariableDeclaration{Kind: kind})
 	for {
-		dStart := p.tok.Start.Offset
+		dStart := p.tok.Start
 		id, err := p.parseBindingTarget()
 		if err != nil {
 			return nil, err
@@ -588,7 +603,7 @@ func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclar
 }
 
 func (p *parser) parseIf() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("if"); err != nil {
 		return nil, err
 	}
@@ -621,7 +636,7 @@ func (p *parser) parseIf() (ast.Node, error) {
 }
 
 func (p *parser) parseWhile() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("while"); err != nil {
 		return nil, err
 	}
@@ -643,7 +658,7 @@ func (p *parser) parseWhile() (ast.Node, error) {
 }
 
 func (p *parser) parseDoWhile() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("do"); err != nil {
 		return nil, err
 	}
@@ -672,7 +687,7 @@ func (p *parser) parseDoWhile() (ast.Node, error) {
 }
 
 func (p *parser) parseFor() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("for"); err != nil {
 		return nil, err
 	}
@@ -782,14 +797,14 @@ func (p *parser) parseFor() (ast.Node, error) {
 // parseForDeclaration parses `var/let/const target [= init]` without
 // consuming a semicolon, stopping before `in`/`of` when appropriate.
 func (p *parser) parseForDeclaration() (*ast.VariableDeclaration, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	kind := p.tok.StringValue
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	decl := p.arena.NewVariableDeclaration(ast.VariableDeclaration{Kind: kind})
 	for {
-		dStart := p.tok.Start.Offset
+		dStart := p.tok.Start
 		id, err := p.parseBindingTarget()
 		if err != nil {
 			return nil, err
@@ -828,7 +843,7 @@ func (p *parser) forTarget(init ast.Node) (ast.Node, error) {
 }
 
 func (p *parser) parseSwitch() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("switch"); err != nil {
 		return nil, err
 	}
@@ -847,7 +862,7 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 	}
 	sw := p.arena.NewSwitchStatement(ast.SwitchStatement{Discriminant: disc})
 	for !p.atPunct("}") {
-		cStart := p.tok.Start.Offset
+		cStart := p.tok.Start
 		c := p.arena.NewSwitchCase(ast.SwitchCase{})
 		if p.atKeyword("case") {
 			if err := p.next(); err != nil {
@@ -885,7 +900,7 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 }
 
 func (p *parser) parseReturn() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("return"); err != nil {
 		return nil, err
 	}
@@ -905,7 +920,7 @@ func (p *parser) parseReturn() (ast.Node, error) {
 }
 
 func (p *parser) parseThrow() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("throw"); err != nil {
 		return nil, err
 	}
@@ -923,7 +938,7 @@ func (p *parser) parseThrow() (ast.Node, error) {
 }
 
 func (p *parser) parseTry() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("try"); err != nil {
 		return nil, err
 	}
@@ -933,7 +948,7 @@ func (p *parser) parseTry() (ast.Node, error) {
 	}
 	stmt := p.arena.NewTryStatement(ast.TryStatement{Block: block})
 	if p.atKeyword("catch") {
-		cStart := p.tok.Start.Offset
+		cStart := p.tok.Start
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -975,7 +990,7 @@ func (p *parser) parseTry() (ast.Node, error) {
 }
 
 func (p *parser) parseBreakContinue(isBreak bool) (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -996,7 +1011,7 @@ func (p *parser) parseBreakContinue(isBreak bool) (ast.Node, error) {
 }
 
 func (p *parser) parseWith() (ast.Node, error) {
-	start := p.tok.Start.Offset
+	start := p.tok.Start
 	if err := p.expectKeyword("with"); err != nil {
 		return nil, err
 	}

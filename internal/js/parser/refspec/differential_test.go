@@ -3,9 +3,11 @@
 // generator plus every monitored transformation technique feeds both paths,
 // whole and cut short, and the trees, node byte ranges, token streams,
 // comments and the text of every rejection (its line and column included)
-// are compared under the zero-copy token contract. Nodes carry no line or
-// column; that ast.Lines resolves their ranges exactly as the lexer counts is
-// TestLinesMatchLexer's job (internal/js/lexer).
+// are compared under the zero-copy token contract. The arena path carries
+// byte offsets only, while the reference lexer still counts lines and
+// columns byte by byte: ast.Lines must resolve every token and comment
+// boundary to the position the reference counted, and the parser's error to
+// the reference's.
 package refspec_test
 
 import (
@@ -28,9 +30,10 @@ import (
 // of being decoded by the Go compiler.
 const bs = "\x5C"
 
-// escapeSeeds are inputs that force the zero-copy lexer off its fast path:
+// escapeSeeds are inputs on the edges of the zero-copy lexer's fast path:
 // escaped identifiers and private names, escaped and astral string contents,
-// line continuations, CR/CRLF in templates, raw U+2028, and invalid UTF-8.
+// line continuations, CR/CRLF in templates and invalid UTF-8 (all slow
+// path), and raw U+2028/U+2029 in a string and a template (fast path).
 var escapeSeeds = []string{
 	"var " + bs + "u0041bc = 1; " + bs + "u0041bc += 2;",
 	"var x = 'a" + bs + "u0041" + bs + "x42" + bs + "n';",
@@ -43,6 +46,8 @@ var escapeSeeds = []string{
 	"`" + bs + "u0041${x}" + bs + "x42`",
 	"var w = 'a\xFFb';",
 	"if (" + bs + "u0069f) {}", // escaped keyword spelling: both paths must reject it the same way
+	"x = '" + bs + "u{\n41}';", // the error is raised past a line terminator inside the escape
+	"var " + bs + "u{\r\n41",
 }
 
 // lineEdges are sources whose line bookkeeping the corpus never exercises:
@@ -116,18 +121,22 @@ func stream(prog *ast.Program) []nodeRecord {
 	return out
 }
 
-// compareToken checks one token pair under the zero-copy contract: positions
-// and values must match exactly, the arena-path Lexeme must be the literal
+// compareToken checks one token pair under the zero-copy contract: offsets
+// and values must match exactly, lines must resolve both offsets to the
+// reference's line and column, the arena-path Lexeme must be the literal
 // source slice, and StringValue must carry the decoded name the reference
 // kept in its (decoded) Lexeme.
-func compareToken(t *testing.T, name string, i int, src string, ref refspec.Token, got lexer.Token) {
+func compareToken(t *testing.T, name string, i int, src string, lines *ast.Lines, ref refspec.Token, got lexer.Token) {
 	t.Helper()
-	if int(ref.Kind) != int(got.Kind) || ref.Start != got.Start || ref.End != got.End ||
+	if int(ref.Kind) != int(got.Kind) || ref.Start.Offset != got.Start || ref.End.Offset != got.End ||
 		ref.NewlineBefore != got.NewlineBefore || ref.NumberValue != got.NumberValue ||
 		ref.RegexPattern != got.RegexPattern || ref.RegexFlags != got.RegexFlags {
 		t.Fatalf("%s: token %d differs:\nreference %+v\narena     %+v", name, i, ref, got)
 	}
-	if want := src[got.Start.Offset:got.End.Offset]; got.Lexeme != want {
+	if start, end := lines.Pos(got.Start), lines.Pos(got.End); start != ref.Start || end != ref.End {
+		t.Fatalf("%s: token %d %q resolves to %+v-%+v, reference counted %+v-%+v", name, i, got.Lexeme, start, end, ref.Start, ref.End)
+	}
+	if want := src[got.Start:got.End]; got.Lexeme != want {
 		t.Fatalf("%s: token %d Lexeme = %q, want the source slice %q", name, i, got.Lexeme, want)
 	}
 	switch got.Kind {
@@ -184,15 +193,16 @@ func compareParses(t *testing.T, name, src string) (rejected bool) {
 	if len(ref.Tokens) != len(got.Tokens) {
 		t.Fatalf("%s: %d tokens, want %d", name, len(got.Tokens), len(ref.Tokens))
 	}
+	lines := ast.NewLines(src)
 	for i := range ref.Tokens {
-		compareToken(t, name, i, src, ref.Tokens[i], got.Tokens[i])
+		compareToken(t, name, i, src, lines, ref.Tokens[i], got.Tokens[i])
 	}
 	if len(ref.Comments) != len(got.Comments) {
 		t.Fatalf("%s: %d comments, want %d", name, len(got.Comments), len(ref.Comments))
 	}
 	for i := range ref.Comments {
 		r, g := ref.Comments[i], got.Comments[i]
-		if r.Span != g.Span || r.Text != g.Text || r.Block != g.Block {
+		if lines.Span(g.Range) != r.Span || r.Text != g.Text || r.Block != g.Block {
 			t.Fatalf("%s: comment %d = %+v, want %+v", name, i, g, r)
 		}
 	}
@@ -237,10 +247,14 @@ func TestArenaParserMatchesReferenceOnTruncations(t *testing.T) {
 }
 
 // TestArenaParserMatchesReferenceOnLineEdges covers the line terminators
-// and non-ASCII bytes the generated corpus rarely contains.
+// and non-ASCII bytes the generated corpus rarely contains. Every prefix of
+// each edge input is parsed too, so an error at the end of the source is
+// resolved after each kind of terminator and inside each multi-byte rune.
 func TestArenaParserMatchesReferenceOnLineEdges(t *testing.T) {
 	for i, src := range lineEdges {
-		compareParses(t, fmt.Sprintf("line edge %d", i), src)
+		for n := 0; n <= len(src); n++ {
+			compareParses(t, fmt.Sprintf("line edge %d cut at %d", i, n), src[:n])
+		}
 	}
 }
 

@@ -384,8 +384,10 @@ func (l *Lexer) scanUnicodeEscape() (rune, error) {
 	if l.peekByte() == '{' {
 		l.advance(1)
 		startOff := l.off
+		// The digits may run over a line terminator before the error that
+		// follows is raised, so count lines here.
 		for l.off < len(l.src) && l.peekByte() != '}' {
-			l.advance(1)
+			l.advanceRune()
 		}
 		if l.off >= len(l.src) {
 			return 0, &lexError{Pos: l.pos(), Msg: "unterminated unicode escape"}

@@ -97,6 +97,10 @@ go test -fuzz FuzzInterpDifferential -fuzztime "$fuzztime" -fuzzminimizetime 5x 
 # encode→decode must be the identity (the crash-recovery contract rests on
 # both).
 go test -fuzz FuzzStoreRecordRoundTrip -fuzztime "$fuzztime" -fuzzminimizetime 5x -run '^$' ./internal/store
+# The parser against its refspec: the same acceptance, tree, token and
+# comment offsets, ast.Lines positions and error text, and a printer fixed
+# point for whatever parses.
+go test -fuzz FuzzParse -fuzztime "$fuzztime" -fuzzminimizetime 5x -run '^$' ./internal/js/parser
 
 # Per-package coverage floors. The interpreter floor guards the oracle (the
 # sandbox is only as trustworthy as its coverage); the flow and scope floors
