@@ -455,6 +455,9 @@ var referenceEdges = []string{
 	"trailing();   ",
 	"trailing();\t\r\n\t\r\n",
 	" \r \r a",
+	"a \rb",
+	"a\t\r\tb\r",
+	"a\r \n\r b \r",
 	"ev\ral(x)",
 	"ev al(x)",
 	"eval\r(x)",
@@ -672,6 +675,9 @@ func benchmarkCompute(b *testing.B, compute func(string) Features) {
 	for _, src := range mix {
 		total += len(src)
 	}
+	for _, src := range mix {
+		compute(src) // warm the scratch pool
+	}
 	b.SetBytes(int64(total))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -705,4 +711,16 @@ func TestComputeZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Compute allocates %.1f times per mix, want 0", allocs)
 	}
+}
+
+func isWordByte(b byte) bool {
+	return b == '_' || b == '$' || isAlnumByte(b)
+}
+
+func isAlnumByte(b byte) bool {
+	return (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
+}
+
+func isHexByte(b byte) bool {
+	return (b >= '0' && b <= '9') || (b >= 'a' && b <= 'f') || (b >= 'A' && b <= 'F')
 }

@@ -1,7 +1,7 @@
-// Package triage is the stage-0 pre-classifier of the scan cascade: a single
-// pass over the raw source text computes cheap features (Shannon entropy,
-// escape densities, dynamic-code token counts, line-shape statistics,
-// base64/data-URI hits) and routes high-confidence regular or plainly
+// Package triage is the stage-0 pre-classifier of the scan cascade: a few
+// tight passes over a canonical copy of the source text compute cheap
+// features (Shannon entropy, escape densities, dynamic-code token counts,
+// line-shape statistics, base64/data-URI hits) and route high-confidence regular or plainly
 // minified files around the full parse→flow→features→infer pipeline. The
 // premise is the paper's own: most in-the-wild JavaScript is easy, and the
 // expensive detectors only earn their cost on the hard tail.
@@ -17,10 +17,17 @@
 // stripped), so routing decisions are invariant under whitespace-only
 // re-renderings of the same file: retabbing, re-indenting, or converting line
 // endings never flips a decision. TestTriageWhitespaceInvariance pins that
-// property.
+// property. TestComputeMatchesReference and FuzzTriageCompute hold Compute to
+// a byte-at-a-time reference implementation of the same features, bit for
+// bit.
 package triage
 
-import "math"
+import (
+	"bytes"
+	"math"
+	"slices"
+	"sync"
+)
 
 // Decision is a stage-0 routing verdict.
 type Decision int
@@ -261,8 +268,9 @@ func (c Config) maxMinifiedWhitespace() float64 {
 }
 
 // Route computes the features of src and decides where it goes. This is the
-// whole stage-0 cost: one pass over the bytes, no allocation beyond the
-// Features value.
+// whole stage-0 cost: one canonical copy of the text into a pooled buffer
+// and a few counting passes over it, with no allocation once the pool is
+// warm.
 func Route(src string, cfg Config) (Decision, Features) {
 	f := Compute(src)
 	return cfg.Route(&f), f
@@ -291,91 +299,163 @@ func (c Config) Route(f *Features) Decision {
 	return Escalate
 }
 
-// Compute runs the single feature pass over src. The scan works on a
-// canonical view of the text — CR dropped, [ \t]+ runs collapsed to one
-// space, trailing spaces stripped — without materializing it: a pending-space
-// state machine feeds the histogram, the line accounting, and the token
-// matchers one canonical byte at a time.
+// maxPooledCanon bounds the canonical-view buffers Compute keeps for reuse:
+// a larger one is dropped after its call, so one huge input does not pin its
+// size in memory for the life of the process.
+const maxPooledCanon = 1 << 20
+
+// canonPool holds the canonical-view scratch buffers.
+var canonPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 32<<10)
+	return &b
+}}
+
+// The two substring markers. Each one's first byte occurs nowhere else in
+// it, so occurrences never overlap and bytes.Count counts exactly the hits
+// of a matcher that restarts on the first byte.
+var (
+	dataURIMarker  = []byte("base64,")
+	charCodeMarker = []byte("fromCharCode")
+)
+
+// Compute returns the features of src. It first copies the canonical view of
+// the text into a pooled scratch buffer (CR dropped, each [ \t]+ run written
+// as one space unless a newline or the end of the text follows), then counts
+// over those bytes in separate tight passes: the byte histogram, a probe for
+// long base64 runs, a newline search for line shape, a backslash search for
+// escape sequences, substring counts for the two markers, and one
+// token-level pass for strings, words, comparisons and percent escapes.
 //
-//jslint:ignore hotpath-noalloc Features is the return value, built once.
+//jslint:hotpath
 func Compute(src string) Features {
+	bp := canonPool.Get().(*[]byte)
+	c := canonicalize(*bp, src)
+
 	var f Features
-	var hist [256]int32
+	f.Bytes = len(c)
+	countBytes(c, &f)
+	countLines(c, src, &f)
+	countEscapes(c, &f)
+	f.DataURIHits = bytes.Count(c, dataURIMarker)
+	f.CharCodeHits = bytes.Count(c, charCodeMarker)
+	scanTokens(c, &f)
 
-	canon := 0    // canonical bytes emitted
-	wsBytes := 0  // canonical whitespace bytes (space or \n)
-	alnum := 0    // canonical ASCII alphanumeric bytes
-	nonASCII := 0 // canonical bytes >= 0x80
-	lineLen := 0  // current canonical line length
-	pendingWS := false
-	m := matchState{}
-
-	emit := func(b byte) {
-		hist[b]++
-		canon++
-		switch {
-		case b == ' ':
-			wsBytes++
-			lineLen++
-		case b == '\n':
-			wsBytes++
-			f.Lines++
-			if lineLen > f.MaxLineLen {
-				f.MaxLineLen = lineLen
-			}
-			lineLen = 0
-		default:
-			lineLen++
-			if b >= 0x80 {
-				nonASCII++
-			} else if isAlnumByte(b) {
-				alnum++
-			}
-		}
-		m.feed(b, &f)
+	if cap(c) <= maxPooledCanon {
+		*bp = c[:0]
 	}
+	canonPool.Put(bp)
+	return f
+}
 
+// Byte classes, as bit flags in byteClass.
+const (
+	clsWord    = 1 << iota // identifier bytes: [A-Za-z0-9_$]
+	clsDigit               // [0-9]
+	clsAlnum               // [A-Za-z0-9]
+	clsHex                 // [0-9A-Fa-f]
+	clsBase64              // the base64 alphabet [A-Za-z0-9+/=]
+	clsStrStop             // bytes a string body stops at: % \ " ' LF
+)
+
+var byteClass = func() (t [256]uint8) {
+	for b := 0; b < 256; b++ {
+		var c uint8
+		alpha := (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
+		digit := b >= '0' && b <= '9'
+		if alpha || digit {
+			c |= clsWord | clsAlnum | clsBase64
+		}
+		if digit {
+			c |= clsDigit
+		}
+		if digit || (b >= 'a' && b <= 'f') || (b >= 'A' && b <= 'F') {
+			c |= clsHex
+		}
+		switch b {
+		case '_', '$':
+			c |= clsWord
+		case '+', '/', '=':
+			c |= clsBase64
+		case '\n', '%', '\\', '"', '\'':
+			c |= clsStrStop
+		}
+		t[b] = c
+	}
+	return t
+}()
+
+// canonStep tells canonicalize what each byte does, as bit flags.
+const (
+	canonKeep  = 1 << iota // written to the view: all but space, tab and CR
+	canonFlush             // written after a pending space: all but space, tab, CR and LF
+	canonBlank             // opens or continues a pending space: space and tab
+	canonCarry             // a pending space survives it: CR
+)
+
+var canonStep = func() (t [256]uint8) {
+	for b := range t {
+		switch b {
+		case ' ', '\t':
+			t[b] = canonBlank
+		case '\r':
+			t[b] = canonCarry
+		case '\n':
+			t[b] = canonKeep
+		default:
+			t[b] = canonKeep | canonFlush
+		}
+	}
+	return t
+}()
+
+// canonicalize writes the canonical view of src into buf's storage and
+// returns it. The loop has no branch that depends on the bytes: each byte
+// writes a space and then itself, and the table decides how far each write
+// advances. The view is never longer than src, because a space is kept only
+// in place of at least one dropped blank.
+//
+//jslint:hotpath
+func canonicalize(buf []byte, src string) []byte {
+	buf = slices.Grow(buf[:0], len(src))[:len(src)]
+	k := 0
+	pending := 0 // 1 while a [ \t] run awaits its one space
 	for i := 0; i < len(src); i++ {
 		b := src[i]
-		switch b {
-		case '\r':
-			// dropped: CRLF and LF render identically.
-		case ' ', '\t':
-			pendingWS = true
-		case '\n':
-			pendingWS = false // trailing whitespace stripped
-			emit('\n')
-		default:
-			if pendingWS {
-				emit(' ')
-				pendingWS = false
-			}
-			emit(b)
-		}
+		step := int(canonStep[b])
+		buf[k] = ' '
+		k += pending & (step >> 1) // canonFlush
+		buf[k] = b
+		k += step & canonKeep
+		pending = pending&(step>>3) | (step>>2)&1 // canonCarry, canonBlank
 	}
-	if lineLen > 0 || (canon > 0 && src[len(src)-1] != '\n') {
-		f.Lines++
-		if lineLen > f.MaxLineLen {
-			f.MaxLineLen = lineLen
-		}
-	}
-	m.flush(&f)
+	return buf[:k]
+}
 
-	f.Bytes = canon
-	if canon == 0 {
-		return f
+// countBytes fills the byte histogram, derives the whitespace, alphanumeric
+// and non-ASCII ratios and the entropy from it, and counts base64 runs.
+//
+//jslint:hotpath
+func countBytes(c []byte, f *Features) {
+	f.Base64Runs = countBase64Runs(c)
+	if len(c) == 0 {
+		return
 	}
-	f.WhitespaceRatio = float64(wsBytes) / float64(canon)
-	f.AlnumRatio = float64(alnum) / float64(canon)
-	f.NonASCIIRatio = float64(nonASCII) / float64(canon)
-	if f.Lines > 0 {
-		// Mean over canonical content bytes (newlines excluded).
-		f.MeanLineLen = float64(canon-f.Lines) / float64(f.Lines)
-		if f.MeanLineLen < 0 {
-			f.MeanLineLen = 0
+	var hist [256]int32
+	for _, b := range c {
+		hist[b]++
+	}
+	alnum, nonASCII := 0, 0
+	for b, n := range hist {
+		if byteClass[b]&clsAlnum != 0 {
+			alnum += int(n)
+		} else if b >= 0x80 {
+			nonASCII += int(n)
 		}
 	}
-	total := float64(canon)
+	total := float64(len(c))
+	f.WhitespaceRatio = float64(int(hist[' '])+int(hist['\n'])) / total
+	f.AlnumRatio = float64(alnum) / total
+	f.NonASCIIRatio = float64(nonASCII) / total
 	for _, n := range hist {
 		if n == 0 {
 			continue
@@ -383,348 +463,316 @@ func Compute(src string) Features {
 		p := float64(n) / total
 		f.Entropy -= p * math.Log2(p)
 	}
-	return f
 }
 
-// matchState runs the token matchers over the canonical byte stream: word
-// matching for eval/Function/atob/case, escape sequences, _0x prefixes,
-// base64 runs, and the "base64," data-URI marker.
-type matchState struct {
-	prevWord bool // previous byte was a word byte (identifier continuation)
-	word     [8]byte
-	wordLen  int // 0..8; 9 means "too long, not a keyword"
+// minBase64Run is the shortest base64-alphabet run that counts as a payload.
+const minBase64Run = 24
 
-	escape int // position in a \xNN or \uNNNN match; 0 = idle
-	escHex bool
-
-	b64Run int // current [A-Za-z0-9+/=] run length
-
-	uriPos int // position in "base64," marker
-
-	inStr  byte // 0 = outside any string literal, else the quote byte
-	strEsc bool // inside a string, previous byte was an unconsumed backslash
-
-	// Literal-operator-literal matcher for ConstCmps and StrConcats. States:
-	// 0 idle, 1 literal just closed, 2 inside an ==/===/!=/!== run after a
-	// literal, 3 equality operator complete, 4 `+` seen after a string
-	// literal. A single canonical space is transparent; anything else resets.
-	litCmp int
-	litStr bool // the literal that opened the match was a string
-	cmpLen int  // operator run length in state 2
-	cmpRel bool // state-2 run is relational (< >) rather than equality
-	// litTaint marks that the next literal is glued to a larger expression
-	// by a preceding arithmetic or bitwise operator (`row.id % 3 !== 0`):
-	// such a literal is an operand, not the comparison's left side.
-	litTaint bool
-
-	ccPos  int // position in "fromCharCode" marker
-	pctPos int // position in a %XX percent-escape inside a string
-}
-
-// wordByte reports identifier-ish bytes.
-func isWordByte(b byte) bool {
-	return b == '_' || b == '$' || isAlnumByte(b)
-}
-
-func isAlnumByte(b byte) bool {
-	return (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
-}
-
-func isHexByte(b byte) bool {
-	return (b >= '0' && b <= '9') || (b >= 'a' && b <= 'f') || (b >= 'A' && b <= 'F')
-}
-
-// feed consumes one canonical byte.
-func (m *matchState) feed(b byte, f *Features) {
-	// Payload matchers (escapes, base64 runs, data-URI markers) see every
-	// byte: their targets live inside string literals.
-	m.feedPayload(b, f)
-
-	// The word and comparison matchers skip string contents: an identifier
-	// or `===` inside a string is data, not code.
-	if m.inStr != 0 {
-		switch {
-		case m.strEsc:
-			m.strEsc = false
-		case b == '\\':
-			m.strEsc = true
-		case b == m.inStr:
-			// String literal closed: it can be the left operand of a
-			// comparison or concatenation.
-			m.inStr = 0
-			if m.litTaint {
-				m.litTaint = false
-				m.litCmp = 0
-			} else {
-				m.litCmp = 1
-				m.litStr = true
-			}
-		case b == '\n':
-			// Unterminated on this line (template or desync): bail out.
-			m.inStr = 0
-			m.litCmp = 0
+// countBase64Runs counts the maximal runs of the base64 alphabet at least
+// minBase64Run bytes long. It probes the last byte of each window a long run
+// starting at s would have to cover, so short runs (identifiers, numbers)
+// cost a few probes per window instead of a step per byte.
+//
+//jslint:hotpath
+func countBase64Runs(c []byte) int {
+	runs := 0
+	// c[s-1] is outside the alphabet (or s is 0), so a run starting at s
+	// is maximal on the left; c[s:v] is known to be in the alphabet.
+	s, v := 0, 0
+	for s+minBase64Run <= len(c) {
+		e := s + minBase64Run - 1
+		if byteClass[c[e]]&clsBase64 == 0 {
+			// No long run can start in c[s:e+1] without covering e.
+			s, v = e+1, e+1
+			continue
 		}
-		return
+		q := e - 1
+		for q >= v && byteClass[c[q]]&clsBase64 != 0 {
+			q--
+		}
+		if q >= v {
+			// The run through e starts after q: probe again from there.
+			s, v = q+1, e+1
+			continue
+		}
+		runs++
+		j := e + 1
+		for j < len(c) && byteClass[c[j]]&clsBase64 != 0 {
+			j++
+		}
+		s, v = j+1, j+1
 	}
-
-	wasWord := m.prevWord
-
-	// Whole-word matcher: collect runs of word bytes (bounded at 8; longer
-	// words cannot be one of the monitored keywords).
-	if isWordByte(b) {
-		if !m.prevWord {
-			m.wordLen = 0
-		}
-		if m.wordLen < len(m.word) {
-			m.word[m.wordLen] = b
-			m.wordLen++
-		} else {
-			m.wordLen = len(m.word) + 1 // poison: too long
-		}
-		m.prevWord = true
-	} else {
-		if m.prevWord {
-			m.closeWord(f)
-		}
-		m.prevWord = false
-	}
-
-	m.feedCmp(b, wasWord, f)
+	return runs
 }
 
-// cmpValid reports whether the operator run collected in state 2 spells a
-// comparison: ==, ===, != or !== for equality runs, < or <= (and > / >=) for
-// relational runs. A lone = is assignment; << and >> are shifts.
-func (m *matchState) cmpValid() bool {
-	if m.cmpRel {
-		return m.cmpLen == 1 || m.cmpLen == 2
-	}
-	return m.cmpLen == 2 || m.cmpLen == 3
-}
-
-// feedCmp advances the literal-operator-literal matcher; wasWord is the word
-// state before this byte, so a digit is only a literal start when it begins a
-// token.
-func (m *matchState) feedCmp(b byte, wasWord bool, f *Features) {
-	switch {
-	case b == '"' || b == '\'':
-		if m.litCmp == 3 || (m.litCmp == 2 && m.cmpValid()) {
-			f.ConstCmps++
-		} else if m.litCmp == 4 && m.litStr {
-			f.StrConcats++
-		}
-		m.litCmp = 0
-		m.inStr = b
-		m.strEsc = false
-	case b == ' ':
-		if m.litCmp == 2 {
-			if m.cmpValid() {
-				m.litCmp = 3
-			} else {
-				m.litCmp = 0
-			}
-		}
-		// States 1, 3 and 4 see through a single canonical space.
-	case b == '=' || b == '!':
-		switch m.litCmp {
-		case 1:
-			m.litCmp = 2
-			m.cmpLen = 1
-			m.cmpRel = false
-		case 2:
-			max := 3
-			if m.cmpRel {
-				max = 2 // <= / >=
-			}
-			if b == '!' || m.cmpLen >= max {
-				m.litCmp = 0
-			} else {
-				m.cmpLen++
-			}
-		default:
-			m.litCmp = 0
-		}
-	case b == '<' || b == '>':
-		if m.litCmp == 1 && !m.litStr {
-			m.litCmp = 2
-			m.cmpLen = 1
-			m.cmpRel = true
-		} else {
-			// A second < or > is a shift (1 << 2), not a comparison.
-			m.litCmp = 0
-			m.litTaint = true
-		}
-	case b == '.':
-		if m.litCmp == 1 && m.litStr {
-			f.QuoteCalls++
-		}
-		m.litCmp = 0
-	case b == '+':
-		switch {
-		case m.litCmp == 1 && m.litStr:
-			m.litCmp = 4
-		case m.litCmp == 1:
-			m.litCmp = 0 // numeric const chain: 1 + 2 === 3 stays constant
-		default:
-			m.litCmp = 0
-			m.litTaint = true
-		}
-	case b == '%' || b == '*' || b == '/' || b == '-' ||
-		b == '&' || b == '|' || b == '^':
-		if m.litCmp == 1 && !m.litStr {
-			m.litCmp = 0 // numeric const chain: 8 * 8 < 8 stays constant
-		} else {
-			m.litCmp = 0
-			m.litTaint = true
-		}
-	case !wasWord && b >= '0' && b <= '9':
-		if m.litCmp == 3 || (m.litCmp == 2 && m.cmpValid()) {
-			f.ConstCmps++
-		}
-		m.litCmp = 0
-	default:
-		if !isWordByte(b) || !wasWord {
-			m.litCmp = 0
-		}
-		// A word continuing (wasWord && word byte) leaves the matcher
-		// alone: closeWord decides what the token was.
-	}
-}
-
-// feedPayload runs the matchers that inspect string payloads and raw text.
-func (m *matchState) feedPayload(b byte, f *Features) {
-	// Escape sequences: backslash starts, x/u selects, hex digits confirm.
-	switch {
-	case m.escape == 0:
-		if b == '\\' {
-			m.escape = 1
-		}
-	case m.escape == 1:
-		switch b {
-		case 'x':
-			m.escHex = true
-			m.escape = 2
-		case 'u':
-			m.escHex = false
-			m.escape = 2
-		case '\\':
-			m.escape = 1 // \\\x still starts an escape at the second slash
-		default:
-			m.escape = 0
-		}
-	default:
-		if !isHexByte(b) && !(b == '{' && m.escape == 2 && !m.escHex) {
-			m.escape = 0
-			if b == '\\' {
-				m.escape = 1
-			}
+// countLines measures line shape over the canonical bytes c. The last line
+// counts when it has content, or when the raw text ends in something other
+// than a newline (blanks the canonical view dropped).
+//
+//jslint:hotpath
+func countLines(c []byte, src string, f *Features) {
+	start := 0
+	for {
+		j := bytes.IndexByte(c[start:], '\n')
+		if j < 0 {
 			break
 		}
-		m.escape++
-		if m.escHex && m.escape == 4 { // \xNN
-			f.HexEscapes++
-			m.escape = 0
-		} else if !m.escHex && m.escape == 6 { // \uNNNN (or \u{NNNN)
-			f.UnicodeEscapes++
-			m.escape = 0
-		}
+		f.Lines++
+		f.MaxLineLen = max(f.MaxLineLen, j)
+		start += j + 1
 	}
-
-	// Base64 runs: count maximal runs of the base64 alphabet >= 24 bytes.
-	if isAlnumByte(b) || b == '+' || b == '/' || b == '=' {
-		m.b64Run++
-	} else {
-		if m.b64Run >= 24 {
-			f.Base64Runs++
-		}
-		m.b64Run = 0
+	if last := len(c) - start; last > 0 || (len(c) > 0 && src[len(src)-1] != '\n') {
+		f.Lines++
+		f.MaxLineLen = max(f.MaxLineLen, last)
 	}
-
-	// data: URI payload marker "base64,".
-	const marker = "base64,"
-	if b == marker[m.uriPos] {
-		m.uriPos++
-		if m.uriPos == len(marker) {
-			f.DataURIHits++
-			m.uriPos = 0
+	if f.Lines > 0 {
+		// Mean over canonical content bytes (newlines excluded).
+		f.MeanLineLen = float64(len(c)-f.Lines) / float64(f.Lines)
+		if f.MeanLineLen < 0 {
+			f.MeanLineLen = 0
 		}
-	} else if b == marker[0] {
-		m.uriPos = 1
-	} else {
-		m.uriPos = 0
-	}
-
-	// Character-code decoder marker "fromCharCode".
-	const ccMarker = "fromCharCode"
-	if b == ccMarker[m.ccPos] {
-		m.ccPos++
-		if m.ccPos == len(ccMarker) {
-			f.CharCodeHits++
-			m.ccPos = 0
-		}
-	} else if b == ccMarker[0] {
-		m.ccPos = 1
-	} else {
-		m.ccPos = 0
-	}
-
-	// %XX percent escapes, only inside string literals.
-	switch {
-	case m.inStr == 0 || b == '%':
-		if b == '%' && m.inStr != 0 {
-			m.pctPos = 1
-		} else {
-			m.pctPos = 0
-		}
-	case m.pctPos > 0 && isHexByte(b):
-		m.pctPos++
-		if m.pctPos == 3 {
-			f.PercentEscapes++
-			m.pctPos = 0
-		}
-	default:
-		m.pctPos = 0
 	}
 }
 
-// closeWord scores a completed word run.
-func (m *matchState) closeWord(f *Features) {
-	switch {
-	case m.wordLen == 4 && string(m.word[:4]) == "eval":
-		f.EvalCount++
-	case m.wordLen == 8 && string(m.word[:8]) == "Function":
-		f.FunctionCount++
-	case m.wordLen == 4 && string(m.word[:4]) == "atob":
-		f.AtobCount++
-	case m.wordLen == 4 && string(m.word[:4]) == "case":
-		f.CaseCount++
+// countEscapes counts \xNN and \uNNNN (or \u{NNN) sequences. The escape
+// matcher only ever leaves its idle state at a backslash, so the scan jumps
+// from backslash to backslash and runs the matcher from each one until it
+// is idle again.
+//
+//jslint:hotpath
+func countEscapes(c []byte, f *Features) {
+	for i := 0; ; {
+		j := bytes.IndexByte(c[i:], '\\')
+		if j < 0 {
+			return
+		}
+		i += j + 1
+		state := 1 // after a backslash; 2.. counts the x/u and hex digits
+		hex := false
+		for ; i < len(c) && state != 0; i++ {
+			b := c[i]
+			switch {
+			case state == 1:
+				switch b {
+				case 'x', 'u':
+					hex = b == 'x'
+					state = 2
+				case '\\':
+					// \\\x still starts an escape at the second slash.
+				default:
+					state = 0
+				}
+			case byteClass[b]&clsHex == 0 && !(b == '{' && state == 2 && !hex):
+				state = 0
+				if b == '\\' {
+					state = 1
+				}
+			default:
+				state++
+				if hex && state == 4 { // \xNN
+					f.HexEscapes++
+					state = 0
+				} else if !hex && state == 6 { // \uNNNN (or \u{NNN)
+					f.UnicodeEscapes++
+					state = 0
+				}
+			}
+		}
 	}
-	// _0x prefix: the obfuscator-idiom identifier family. The first bytes of
-	// a too-long word are still in the buffer, so the prefix check covers
-	// realistic _0x1a2b3c-style names too.
-	if m.wordLen >= 3 && m.word[0] == '_' && m.word[1] == '0' && m.word[2] == 'x' {
-		f.HexIdents++
-	}
-	// A token starting with a digit is a numeric literal: it can open a
-	// literal-vs-literal comparison — unless it is glued to a larger
-	// expression by a preceding operator. Any other word resets the
-	// matcher: identifiers are not literals.
-	if m.wordLen >= 1 && m.word[0] >= '0' && m.word[0] <= '9' && !m.litTaint {
-		m.litCmp = 1
-		m.litStr = false
-	} else {
-		m.litCmp = 0
-	}
-	m.litTaint = false
-	m.wordLen = 0
 }
 
-// flush closes any run still open at end of input.
-func (m *matchState) flush(f *Features) {
-	if m.prevWord {
-		m.closeWord(f)
+// scanTokens is the token-level pass: it skips string bodies (counting
+// their %XX escapes), scores each word run once, and runs the
+// literal-operator-literal matcher over the bytes between them. Identifiers
+// and operators inside a string are data, not code, so only the percent
+// escapes are looked for there.
+//
+//jslint:hotpath
+func scanTokens(c []byte, f *Features) {
+	// The literal-operator-literal matcher for ConstCmps, StrConcats and
+	// QuoteCalls. States: 0 idle, 1 literal just closed, 2 inside an
+	// ==/===/!=/!== (or < <= > >=) run after a literal, 3 comparison
+	// complete, 4 `+` seen after a string literal. A single canonical space
+	// is transparent; anything else resets.
+	state := 0
+	litStr := false // the literal that opened the match was a string
+	cmpLen := 0     // operator run length in state 2
+	cmpRel := false // the state-2 run is relational (< >) rather than equality
+	// taint marks that the next literal is glued to a larger expression by a
+	// preceding arithmetic or bitwise operator (`row.id % 3 !== 0`): such a
+	// literal is an operand, not the comparison's left side.
+	taint := false
+	n := len(c)
+	for i := 0; i < n; {
+		b := c[i]
+		if cls := byteClass[b]; cls&clsWord != 0 {
+			digit := cls&clsDigit != 0
+			if digit && (state == 3 || (state == 2 && cmpValid(cmpRel, cmpLen))) {
+				f.ConstCmps++
+			}
+			j := i + 1
+			for j < n && byteClass[c[j]]&clsWord != 0 {
+				j++
+			}
+			w := c[i:j]
+			switch len(w) {
+			case 4:
+				switch string(w) { //jslint:ignore hotpath-noalloc a conversion only compared against constants does not allocate
+				case "eval":
+					f.EvalCount++
+				case "atob":
+					f.AtobCount++
+				case "case":
+					f.CaseCount++
+				}
+			case 8:
+				if string(w) == "Function" { //jslint:ignore hotpath-noalloc a conversion only compared against a constant does not allocate
+					f.FunctionCount++
+				}
+			}
+			// _0x prefix: the obfuscator-idiom identifier family.
+			if len(w) >= 3 && w[0] == '_' && w[1] == '0' && w[2] == 'x' {
+				f.HexIdents++
+			}
+			// A token starting with a digit is a numeric literal: it can
+			// open a literal-vs-literal comparison unless an operator glues
+			// it to a larger expression. Identifiers are not literals.
+			state = 0
+			if digit && !taint {
+				state = 1
+				litStr = false
+			}
+			taint = false
+			i = j
+			continue
+		}
+		i++
+		switch b {
+		case '"', '\'':
+			if state == 3 || (state == 2 && cmpValid(cmpRel, cmpLen)) {
+				f.ConstCmps++
+			} else if state == 4 && litStr {
+				f.StrConcats++
+			}
+			state = 0
+			i = skipString(c, i, b, f)
+			switch {
+			case i > n:
+				return // unterminated at the end of the text
+			case c[i-1] == '\n':
+				// Unterminated on this line (template or desync).
+			case taint:
+				taint = false
+			default:
+				// The closed string can be the left operand of a
+				// comparison, concatenation or method call.
+				state = 1
+				litStr = true
+			}
+		case ' ':
+			if state == 2 {
+				if cmpValid(cmpRel, cmpLen) {
+					state = 3
+				} else {
+					state = 0
+				}
+			}
+			// States 1, 3 and 4 see through a single canonical space.
+		case '=', '!':
+			switch state {
+			case 1:
+				state = 2
+				cmpLen = 1
+				cmpRel = false
+			case 2:
+				if b == '!' || cmpLen >= 3 || (cmpRel && cmpLen >= 2) {
+					state = 0
+				} else {
+					cmpLen++
+				}
+			default:
+				state = 0
+			}
+		case '<', '>':
+			if state == 1 && !litStr {
+				state = 2
+				cmpLen = 1
+				cmpRel = true
+			} else {
+				// A second < or > is a shift (1 << 2), not a comparison.
+				state = 0
+				taint = true
+			}
+		case '.':
+			if state == 1 && litStr {
+				f.QuoteCalls++
+			}
+			state = 0
+		case '+':
+			switch {
+			case state == 1 && litStr:
+				state = 4
+			case state == 1:
+				state = 0 // numeric const chain: 1 + 2 === 3 stays constant
+			default:
+				state = 0
+				taint = true
+			}
+		case '%', '*', '/', '-', '&', '|', '^':
+			if state != 1 || litStr {
+				taint = true
+			}
+			state = 0 // numeric const chain: 8 * 8 < 8 stays constant
+		default:
+			state = 0
+		}
 	}
-	if m.b64Run >= 24 {
-		f.Base64Runs++
+}
+
+// cmpValid reports whether an operator run of cmpLen bytes spells a
+// comparison: ==, ===, != or !== when equality, < or <= (> or >=) when
+// relational. A lone = is assignment; << and >> are shifts.
+func cmpValid(rel bool, n int) bool {
+	if rel {
+		return n == 1 || n == 2
+	}
+	return n == 2 || n == 3
+}
+
+// skipString scans the body of a string literal opened by quote just before
+// c[i], counting its %XX escapes, and returns the index just past the byte
+// that ended it: the closing quote, or a newline for a string left
+// unterminated on its line. It returns len(c)+1 when the text ends inside the
+// string.
+//
+//jslint:hotpath
+func skipString(c []byte, i int, quote byte, f *Features) int {
+	for {
+		for i < len(c) && byteClass[c[i]]&clsStrStop == 0 {
+			i++
+		}
+		if i >= len(c) {
+			return len(c) + 1
+		}
+		switch b := c[i]; b {
+		case quote, '\n':
+			return i + 1
+		case '%':
+			if i+2 < len(c) && byteClass[c[i+1]]&byteClass[c[i+2]]&clsHex != 0 {
+				f.PercentEscapes++
+				i += 3
+			} else {
+				i++
+			}
+		case '\\':
+			// The escaped byte is consumed at once, whatever it is, but an
+			// escaped % still opens a %XX escape.
+			i++
+			if i < len(c) && c[i] != '%' {
+				i++
+			}
+		default:
+			i++ // the other quote
+		}
 	}
 }
