@@ -685,7 +685,9 @@ func scanTokens(c []byte, f *Features) {
 				cmpLen = 1
 				cmpRel = false
 			case 2:
-				if b == '!' || cmpLen >= 3 || (cmpRel && cmpLen >= 2) {
+				// A third = after < or > is past any comparison too, but
+				// cmpValid already rejects that run.
+				if b == '!' || cmpLen == 3 {
 					state = 0
 				} else {
 					cmpLen++
