@@ -318,12 +318,10 @@ func (s *Scanner) persist(key dedupKey, r FileResult) {
 // storeKey derives the verdict-store key for a content hash by folding in
 // the scanner's model/config salt.
 func (s *Scanner) storeKey(k dedupKey) store.Key {
-	h := sha256.New()
-	h.Write(k[:])
-	h.Write(s.storeSalt[:])
-	var out store.Key
-	h.Sum(out[:0])
-	return out
+	var in [len(k) + len(s.storeSalt)]byte
+	copy(in[:], k[:])
+	copy(in[len(k):], s.storeSalt[:])
+	return sha256.Sum256(in[:])
 }
 
 // StoreStats reports the verdict store's state; ok is false when the Scanner

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -286,6 +287,25 @@ func TestScanStoreSaltIsolation(t *testing.T) {
 	_, stats = c.ScanBatch(inputs)
 	if stats.StoreHits != len(inputs) {
 		t.Fatalf("identical config got %d/%d hits", stats.StoreHits, len(inputs))
+	}
+}
+
+// TestStoreKeyDerivation pins the store key to SHA-256 over the content hash
+// followed by the salt: a store written under one derivation misses under
+// any other, so changing it would silently cold-start every existing store.
+func TestStoreKeyDerivation(t *testing.T) {
+	var s Scanner
+	for i := range s.storeSalt {
+		s.storeSalt[i] = byte(i * 7)
+	}
+	k := hashSource("x = 1;")
+	h := sha256.New()
+	h.Write(k[:])
+	h.Write(s.storeSalt[:])
+	var want store.Key
+	h.Sum(want[:0])
+	if got := s.storeKey(k); got != want {
+		t.Fatalf("storeKey = %x, want %x", got, want)
 	}
 }
 
