@@ -940,8 +940,13 @@ func (l *Lexer) scanTemplateSlow(start int32, startOff int, head bool, tok *Toke
 			}
 			continue
 		}
-		r := l.advanceRune()
-		sb.WriteRune(r)
+		// A CR or CRLF cooks as one LF, as ECMAScript normalizes line
+		// terminators in template values.
+		if r := l.advanceRune(); r == '\r' {
+			sb.WriteByte('\n')
+		} else {
+			sb.WriteRune(r)
+		}
 	}
 }
 

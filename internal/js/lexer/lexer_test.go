@@ -183,6 +183,34 @@ func TestTemplates(t *testing.T) {
 	}
 }
 
+// TestTemplateCooksLineTerminators pins ECMAScript's normalization of line
+// terminators in template values: a CR or a CRLF cooks as one LF.
+func TestTemplateCooksLineTerminators(t *testing.T) {
+	cases := []struct{ src, cooked string }{
+		{"`a\r\nb`", "a\nb"},
+		{"`a\rb`", "a\nb"},
+		{"`a\r\rb`", "a\n\nb"},
+		{"`a\n\r\nb\r`", "a\n\nb\n"},
+		{"`\\x41\r\n`", "A\n"},
+	}
+	for _, tc := range cases {
+		toks := scanAll(t, tc.src)
+		if len(toks) != 1 || toks[0].Kind != NoSubstTemplate {
+			t.Fatalf("%q: %v", tc.src, kinds(toks))
+		}
+		if toks[0].StringValue != tc.cooked {
+			t.Errorf("%q cooked = %q, want %q", tc.src, toks[0].StringValue, tc.cooked)
+		}
+		if toks[0].Lexeme != tc.src {
+			t.Errorf("%q raw = %q, want the source text", tc.src, toks[0].Lexeme)
+		}
+	}
+	tok, err := New("`a\r\n${x}`").Next()
+	if err != nil || tok.Kind != TemplateHead || tok.StringValue != "a\n" {
+		t.Fatalf("head = %v %q %v, want TemplateHead \"a\\n\"", tok.Kind, tok.StringValue, err)
+	}
+}
+
 func TestCommentsCollected(t *testing.T) {
 	l := New("// line\nvar x; /* block */ var y;")
 	for {

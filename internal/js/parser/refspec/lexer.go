@@ -677,8 +677,13 @@ func (l *Lexer) scanTemplate(start ast.Pos, head bool) (Token, error) {
 			}
 			continue
 		}
-		r := l.advanceRune()
-		sb.WriteRune(r)
+		// A CR or CRLF cooks as one LF, as ECMAScript normalizes line
+		// terminators in template values.
+		if r := l.advanceRune(); r == '\r' {
+			sb.WriteByte('\n')
+		} else {
+			sb.WriteRune(r)
+		}
 	}
 }
 
