@@ -28,7 +28,7 @@ cd "$(dirname "$0")/.."
 # The hot path: batch scan engine + the per-stage benchmarks feeding it.
 # The repo-root Benchmark* experiment replications (figures, accuracy) are
 # deliberately excluded: they train models and measure accuracy, not speed.
-PKGS="./internal/core ./internal/js/parser ./internal/features ./internal/ml ./internal/analysis ./internal/transform"
+PKGS="./internal/core ./internal/js/parser ./internal/features ./internal/ml ./internal/analysis ./internal/transform ./internal/triage"
 BENCH_COUNT="${BENCH_COUNT:-3}"
 BENCH_PATTERN="${BENCH_PATTERN:-.}"
 TOLERANCE="${TOLERANCE:-0.15}"

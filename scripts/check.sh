@@ -101,6 +101,9 @@ go test -fuzz FuzzStoreRecordRoundTrip -fuzztime "$fuzztime" -fuzzminimizetime 5
 # comment offsets, ast.Lines positions and error text, and a printer fixed
 # point for whatever parses.
 go test -fuzz FuzzParse -fuzztime "$fuzztime" -fuzzminimizetime 5x -run '^$' ./internal/js/parser
+# The stage-0 triage features against their byte-at-a-time reference: the
+# multi-pass Compute must return the same Features, bit for bit.
+go test -fuzz FuzzTriageCompute -fuzztime "$fuzztime" -fuzzminimizetime 5x -run '^$' ./internal/triage
 
 # Per-package coverage floors. The interpreter floor guards the oracle (the
 # sandbox is only as trustworthy as its coverage); the flow and scope floors
@@ -180,6 +183,12 @@ if [ "${BENCH:-0}" = "1" ]; then
     # memo from eating it back.
     echo "== benchmark regression gate (StageFeatures, ±10%) =="
     BENCH_PATTERN='BenchmarkStageFeatures$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
+    # The multi-pass triage.Compute runs about twice as fast as its
+    # byte-at-a-time reference (BenchmarkComputeReference, same mix) at zero
+    # allocations; the same ±10% gate keeps a slower pass or a scratch
+    # buffer that escapes the pool from eating that back.
+    echo "== benchmark regression gate (triage Compute, ±10%) =="
+    BENCH_PATTERN='BenchmarkCompute$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
 fi
 
 echo "OK"
