@@ -432,6 +432,19 @@ func (m *refMatchState) flush(f *Features) {
 	}
 }
 
+// isWordByte reports identifier-ish bytes.
+func isWordByte(b byte) bool {
+	return b == '_' || b == '$' || isAlnumByte(b)
+}
+
+func isAlnumByte(b byte) bool {
+	return (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
+}
+
+func isHexByte(b byte) bool {
+	return (b >= '0' && b <= '9') || (b >= 'a' && b <= 'f') || (b >= 'A' && b <= 'F')
+}
+
 // referenceEdges are the inputs where a multi-pass Compute could drift from
 // the byte-at-a-time reference: CR and horizontal whitespace inside markers
 // and keywords, whitespace at line ends and at EOF, escape and percent
@@ -711,16 +724,4 @@ func TestComputeZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Compute allocates %.1f times per mix, want 0", allocs)
 	}
-}
-
-func isWordByte(b byte) bool {
-	return b == '_' || b == '$' || isAlnumByte(b)
-}
-
-func isAlnumByte(b byte) bool {
-	return (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
-}
-
-func isHexByte(b byte) bool {
-	return (b >= '0' && b <= '9') || (b >= 'a' && b <= 'f') || (b >= 'A' && b <= 'F')
 }
