@@ -1,10 +1,11 @@
 // Package triage is the stage-0 pre-classifier of the scan cascade: a few
 // tight passes over a canonical copy of the source text compute cheap
 // features (Shannon entropy, escape densities, dynamic-code token counts,
-// line-shape statistics, base64/data-URI hits) and route high-confidence regular or plainly
-// minified files around the full parse→flow→features→infer pipeline. The
-// premise is the paper's own: most in-the-wild JavaScript is easy, and the
-// expensive detectors only earn their cost on the hard tail.
+// line-shape statistics, base64/data-URI hits) and route high-confidence
+// regular or plainly minified files around the full
+// parse→flow→features→infer pipeline. The premise is the paper's own: most
+// in-the-wild JavaScript is easy, and the expensive detectors only earn their
+// cost on the hard tail.
 //
 // The router is deliberately conservative — any suspicion signal escalates —
 // and its honesty is measured, not assumed: TestTriageFalseBypassGate in
@@ -334,6 +335,7 @@ func Compute(src string) Features {
 	var f Features
 	f.Bytes = len(c)
 	countBytes(c, &f)
+	f.Base64Runs = countBase64Runs(c)
 	countLines(c, src, &f)
 	countEscapes(c, &f)
 	f.DataURIHits = bytes.Count(c, dataURIMarker)
@@ -431,12 +433,11 @@ func canonicalize(buf []byte, src string) []byte {
 	return buf[:k]
 }
 
-// countBytes fills the byte histogram, derives the whitespace, alphanumeric
-// and non-ASCII ratios and the entropy from it, and counts base64 runs.
+// countBytes fills the byte histogram and derives the whitespace,
+// alphanumeric and non-ASCII ratios and the entropy from it.
 //
 //jslint:hotpath
 func countBytes(c []byte, f *Features) {
-	f.Base64Runs = countBase64Runs(c)
 	if len(c) == 0 {
 		return
 	}
