@@ -146,7 +146,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		QueueSize:       *queue,
 		MaxRequestBytes: *maxBytes,
 		RequestTimeout:  *timeout,
-		Explain:         *explain,
 		Log:             logger,
 	})
 

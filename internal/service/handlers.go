@@ -25,7 +25,8 @@ type ScanRequest struct {
 	// Files are the scripts to classify, answered in input order.
 	Files []ScanFile `json:"files"`
 	// Explain attaches static indicator diagnostics to each verdict; it
-	// only has an effect when the daemon runs with -explain.
+	// only has an effect when the daemon runs with -explain (a scanner that
+	// skips the rules reports none).
 	Explain bool `json:"explain,omitempty"`
 }
 
@@ -185,7 +186,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		resp.Error = fmt.Sprintf("scan cut short: %v", j.err)
 	}
 	for i := range j.results {
-		resp.Results = append(resp.Results, s.buildReport(&j.results[i], explain))
+		resp.Results = append(resp.Results, buildReport(&j.results[i], explain))
 	}
 	s.logRequest(r, http.StatusOK, started, j.results, j.stats)
 	writeJSON(w, http.StatusOK, resp)
@@ -205,7 +206,7 @@ func (s *Server) renderSingle(w http.ResponseWriter, r *http.Request, j *job, ex
 		return
 	}
 	s.logRequest(r, http.StatusOK, started, j.results, j.stats)
-	writeJSON(w, http.StatusOK, s.buildReport(&j.results[0], explain))
+	writeJSON(w, http.StatusOK, buildReport(&j.results[0], explain))
 }
 
 // requestError is a malformed-request verdict with its HTTP status.
@@ -267,8 +268,8 @@ func (s *Server) parseScanRequest(w http.ResponseWriter, r *http.Request) (input
 }
 
 // buildReport renders one scan result. Diagnostics are attached only when
-// the request asked for them (and the daemon collects them).
-func (s *Server) buildReport(r *core.FileResult, explain bool) Report {
+// the request asked for them; a scanner that skips the rules has none.
+func buildReport(r *core.FileResult, explain bool) Report {
 	rep := Report{Path: r.Path, Deduped: r.Deduped, Bypassed: r.Bypassed}
 	if r.Err != nil {
 		rep.Error = r.Err.Error()
@@ -283,14 +284,14 @@ func (s *Server) buildReport(r *core.FileResult, explain bool) Report {
 		for _, p := range r.Level2.Ranked {
 			rep.Probabilities[p.Technique.String()] = p.Probability
 		}
-		for _, p := range r.Level2.TopK(s.cfg.topK(), s.cfg.threshold()) {
+		for _, p := range r.Level2.TopK(DefaultTopK, core.DefaultThreshold) {
 			rep.Techniques = append(rep.Techniques, TechniqueReport{
 				Technique:   p.Technique.String(),
 				Probability: p.Probability,
 			})
 		}
 	}
-	if explain && s.cfg.Explain {
+	if explain {
 		rep.Diagnostics = r.Diagnostics
 	}
 	return rep

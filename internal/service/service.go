@@ -51,14 +51,6 @@ type Config struct {
 	// RetryAfter is the hint sent with 429 rejections; <= 0 means
 	// DefaultRetryAfter.
 	RetryAfter time.Duration
-	// TopK and Threshold shape the reported technique list (the paper's
-	// top-k with a 10% confidence floor). Zero means DefaultTopK /
-	// core.DefaultThreshold.
-	TopK      int
-	Threshold float64
-	// Explain attaches static indicator diagnostics to responses that ask
-	// for them; it requires the scanner to run with ScanOptions.Explain.
-	Explain bool
 	// Log receives one structured line per request; nil discards.
 	Log *log.Logger
 }
@@ -69,7 +61,9 @@ const (
 	DefaultMaxRequestBytes = 8 << 20
 	DefaultRequestTimeout  = 30 * time.Second
 	DefaultRetryAfter      = time.Second
-	DefaultTopK            = 4
+	// DefaultTopK is how many techniques a report lists (the paper's top-k,
+	// with core.DefaultThreshold as the confidence floor).
+	DefaultTopK = 4
 )
 
 func (c Config) concurrency() int {
@@ -105,20 +99,6 @@ func (c Config) retryAfter() time.Duration {
 		return DefaultRetryAfter
 	}
 	return c.RetryAfter
-}
-
-func (c Config) topK() int {
-	if c.TopK <= 0 {
-		return DefaultTopK
-	}
-	return c.TopK
-}
-
-func (c Config) threshold() float64 {
-	if c.Threshold <= 0 {
-		return core.DefaultThreshold
-	}
-	return c.Threshold
 }
 
 func (c Config) logger() *log.Logger {

@@ -437,12 +437,12 @@ func TestAdminEndpoint(t *testing.T) {
 	}
 }
 
-// TestExplainPassthrough: diagnostics appear only when both the daemon
-// collects them and the request asks.
+// TestExplainPassthrough: diagnostics appear only when the request asks, and
+// only from a scanner that runs the rules.
 func TestExplainPassthrough(t *testing.T) {
 	swapObs(t)
 	scanner := tinyScanner(t, core.ScanOptions{Workers: 1, Explain: true})
-	_, ts := newTestServer(t, scanner, Config{Concurrency: 1, Explain: true})
+	_, ts := newTestServer(t, scanner, Config{Concurrency: 1})
 	// eval of a concatenated string trips the dynamic-code-sink rule.
 	src := "eval(\"con\" + \"sole.log(1)\");"
 	resp, err := http.Post(ts.URL+"/v1/scan?explain=1", "application/javascript", strings.NewReader(src))
@@ -465,6 +465,21 @@ func TestExplainPassthrough(t *testing.T) {
 	}
 	if len(rep2.Diagnostics) != 0 {
 		t.Error("diagnostics leaked into a request that did not ask for them")
+	}
+	// A scanner that skips the rules has none to attach, whatever the
+	// request asks.
+	_, plain := newTestServer(t, tinyScanner(t, core.ScanOptions{Workers: 1}), Config{Concurrency: 1})
+	resp3, err := http.Post(plain.URL+"/v1/scan?explain=1", "application/javascript", strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	var rep3 Report
+	if err := json.NewDecoder(resp3.Body).Decode(&rep3); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep3.Diagnostics) != 0 {
+		t.Error("a scanner without Explain reported diagnostics")
 	}
 	if len(transform.Techniques) != len(tinyL2Probs) {
 		t.Fatalf("tinyL2Probs has %d entries for %d techniques", len(tinyL2Probs), len(transform.Techniques))
