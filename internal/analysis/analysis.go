@@ -6,7 +6,7 @@
 // opaque, these diagnostics are the explainable counterpart: each one names
 // a rule, a technique, a source range, and a machine-readable evidence map.
 //
-// The engine performs exactly ONE walker pass over the AST regardless of how
+// The engine performs exactly ONE ast.Inspect pass over the AST regardless of how
 // many rules are registered: every rule contributes a visit callback that is
 // dispatched by node type (or for every node), so adding rules never adds
 // traversals. An Engine is immutable after construction and therefore safe
@@ -23,7 +23,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/walker"
 	"repro/internal/obs"
 )
 
@@ -134,10 +133,10 @@ type RuleInfo struct {
 	Severity Severity
 	// Doc is a one-line description of what the rule detects.
 	Doc string
-	// Nodes lists the ESTree node types the rule wants to observe. An
-	// empty list subscribes the rule to every node; a nil visit callback
-	// (source-level rules) subscribes it to none.
-	Nodes []string
+	// Nodes lists the node kinds the rule wants to observe. An empty list
+	// subscribes the rule to every node; a nil visit callback (source-level
+	// rules) subscribes it to none.
+	Nodes []ast.Kind
 }
 
 // Visit observes one AST node during the shared traversal.
@@ -227,32 +226,15 @@ func snippet(src string, rng ast.Range) string {
 // construction: concurrent Run calls are safe.
 type Engine struct {
 	rules []Rule
-	// ruleKinds[i] holds the interned kinds of rules[i].Info().Nodes,
-	// resolved once here so Run dispatches on small ints instead of
-	// hashing type-name strings per node.
-	ruleKinds [][]ast.Kind
 }
 
 // NewEngine builds an engine over the given rules; with no arguments it uses
-// DefaultRules. Every name in a rule's Nodes list must be a known ESTree node
-// type; a typo would otherwise silently unsubscribe the rule, so NewEngine
-// panics on unknown names.
+// DefaultRules.
 func NewEngine(rules ...Rule) *Engine {
 	if len(rules) == 0 {
 		rules = DefaultRules()
 	}
-	e := &Engine{rules: rules, ruleKinds: make([][]ast.Kind, len(rules))}
-	for i, r := range rules {
-		info := r.Info()
-		for _, name := range info.Nodes {
-			k, ok := ast.KindForName(name)
-			if !ok {
-				panic(fmt.Sprintf("analysis: rule %q subscribes to unknown node type %q", info.ID, name))
-			}
-			e.ruleKinds[i] = append(e.ruleKinds[i], k)
-		}
-	}
-	return e
+	return &Engine{rules: rules}
 }
 
 // Rules returns the registry in registration order.
@@ -266,7 +248,7 @@ func (e *Engine) Run(ctx *Context) []Diagnostic {
 	var byKind [ast.KindCount][]Visit
 	var every []Visit
 	finishes := make([]FinishFunc, 0, len(e.rules))
-	for i, r := range e.rules {
+	for _, r := range e.rules {
 		info := r.Info()
 		rep := &Reporter{info: info, ctx: ctx, diags: &diags}
 		visit, finish := r.Start(ctx, rep)
@@ -274,7 +256,7 @@ func (e *Engine) Run(ctx *Context) []Diagnostic {
 			if len(info.Nodes) == 0 {
 				every = append(every, visit)
 			}
-			for _, k := range e.ruleKinds[i] {
+			for _, k := range info.Nodes {
 				byKind[k] = append(byKind[k], visit)
 			}
 		}
@@ -283,7 +265,7 @@ func (e *Engine) Run(ctx *Context) []Diagnostic {
 		}
 	}
 	if ctx.Program != nil {
-		walker.Walk(ctx.Program, func(n ast.Node, _ int) bool {
+		ast.Inspect(ctx.Program, func(n ast.Node) bool {
 			for _, v := range every {
 				v(n)
 			}

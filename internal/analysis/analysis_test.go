@@ -100,7 +100,7 @@ func TestKindDispatchTargeted(t *testing.T) {
 	want := map[string]int{}
 	var countByType func(n ast.Node)
 	countByType = func(n ast.Node) {
-		want[n.Type()]++
+		want[n.NodeKind().String()]++
 		for _, c := range ast.Children(n) {
 			countByType(c)
 		}
@@ -110,9 +110,9 @@ func TestKindDispatchTargeted(t *testing.T) {
 	got := map[string]int{}
 	targeted := &rule{
 		info: RuleInfo{ID: "targeted", Severity: SeverityInfo,
-			Nodes: []string{"Identifier", "CallExpression", "IfStatement"}},
+			Nodes: []ast.Kind{ast.KindIdentifier, ast.KindCallExpression, ast.KindIfStatement}},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
-			return func(n ast.Node) { got[n.Type()]++ }, nil
+			return func(n ast.Node) { got[n.NodeKind().String()]++ }, nil
 		},
 	}
 	eng := NewEngine(targeted)
@@ -130,23 +130,6 @@ func TestKindDispatchTargeted(t *testing.T) {
 			t.Errorf("rule observed unsubscribed node type %s", typ)
 		}
 	}
-}
-
-// TestNewEngineRejectsUnknownNodeType locks the construction-time typo check:
-// a misspelled Nodes entry would silently unsubscribe the rule under map
-// dispatch, so the kind resolver must refuse it loudly.
-func TestNewEngineRejectsUnknownNodeType(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewEngine accepted a rule subscribing to an unknown node type")
-		}
-	}()
-	NewEngine(&rule{
-		info: RuleInfo{ID: "typo", Severity: SeverityInfo, Nodes: []string{"CallExpresion"}},
-		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
-			return func(ast.Node) {}, nil
-		},
-	})
 }
 
 // TestConcurrentRuns exercises the engine from several goroutines (the -race

@@ -18,7 +18,7 @@ func ruleDeadBranch() Rule {
 			Technique: transform.DeadCodeInjection.String(),
 			Severity:  SeverityWarning,
 			Doc:       "branch guarded by a constant-false opaque predicate",
-			Nodes:     []string{"IfStatement", "WhileStatement"},
+			Nodes:     []ast.Kind{ast.KindIfStatement, ast.KindWhileStatement},
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			reported := 0
@@ -177,7 +177,7 @@ func ruleSwitchDispatch() Rule {
 			Technique: transform.ControlFlowFlattening.String(),
 			Severity:  SeverityStrong,
 			Doc:       "endless loop dispatching a switch over an execution-order array",
-			Nodes:     []string{"WhileStatement", "ForStatement", "CallExpression"},
+			Nodes:     []ast.Kind{ast.KindWhileStatement, ast.KindForStatement, ast.KindCallExpression},
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			type dispatcher struct {

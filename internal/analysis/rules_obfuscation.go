@@ -20,7 +20,7 @@ func ruleHexIdentifiers() Rule {
 			Technique: transform.IdentifierObfuscation.String(),
 			Severity:  SeverityWarning,
 			Doc:       "identifiers follow the obfuscator's _0x<hex> renaming scheme",
-			Nodes:     []string{"Identifier"},
+			Nodes:     []ast.Kind{ast.KindIdentifier},
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			total, hex := 0, 0
@@ -72,7 +72,7 @@ func ruleEncodedStrings() Rule {
 			Technique: transform.StringObfuscation.String(),
 			Severity:  SeverityWarning,
 			Doc:       "string literals are stored encoded and decoded at runtime",
-			Nodes:     []string{"Literal", "CallExpression"},
+			Nodes:     []ast.Kind{ast.KindLiteral, ast.KindCallExpression},
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			stringCount, encoded, decoders := 0, 0, 0
@@ -164,7 +164,7 @@ func ruleStringArray() Rule {
 			Technique: transform.GlobalArray.String(),
 			Severity:  SeverityStrong,
 			Doc:       "strings are moved to a global array behind an index-offset accessor",
-			Nodes:     []string{"VariableDeclarator", "FunctionDeclaration", "CallExpression"},
+			Nodes:     []ast.Kind{ast.KindVariableDeclarator, ast.KindFunctionDeclaration, ast.KindCallExpression},
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			type arrayInfo struct {
@@ -296,7 +296,7 @@ func ruleDynamicCodeSink() Rule {
 			Technique: transform.StringObfuscation.String(),
 			Severity:  SeverityStrong,
 			Doc:       "eval/Function executes strings built by decoding operations",
-			Nodes:     []string{"CallExpression", "NewExpression"},
+			Nodes:     []ast.Kind{ast.KindCallExpression, ast.KindNewExpression},
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			reported := 0

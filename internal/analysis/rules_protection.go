@@ -17,7 +17,7 @@ func ruleSelfDefending() Rule {
 			Technique: transform.SelfDefending.String(),
 			Severity:  SeverityStrong,
 			Doc:       "function-source integrity probe (constructor built from its own text)",
-			Nodes:     []string{"CallExpression"},
+			Nodes:     []ast.Kind{ast.KindCallExpression},
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			probes := 0
@@ -73,7 +73,7 @@ func ruleDebuggerProtection() Rule {
 			Technique: transform.DebugProtection.String(),
 			Severity:  SeverityStrong,
 			Doc:       "debugger statements injected via the Function constructor or timers",
-			Nodes:     []string{"DebuggerStatement", "CallExpression"},
+			Nodes:     []ast.Kind{ast.KindDebuggerStatement, ast.KindCallExpression},
 		},
 		start: func(ctx *Context, rep *Reporter) (Visit, FinishFunc) {
 			ctorDebugger, ctorStall, debuggerStmts := 0, 0, 0

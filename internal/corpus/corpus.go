@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/walker"
 	"repro/internal/transform"
 )
 
@@ -106,7 +105,7 @@ func Filter(src string) FilterReason {
 
 func hasCodeNode(prog *ast.Program) bool {
 	found := false
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		if found {
 			return false
 		}

@@ -2,7 +2,6 @@ package deobfuscate
 
 import (
 	"repro/internal/js/ast"
-	"repro/internal/js/walker"
 )
 
 // resolveGlobalArrays undoes the global-array technique: it finds
@@ -26,7 +25,7 @@ func resolveGlobalArrays(prog *ast.Program, r *Report) {
 	for name := range tables {
 		resolved[name] = true
 	}
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		switch v := n.(type) {
 		case *ast.MemberExpression:
 			// T[<number>] — but not the accessor's own body access.
@@ -78,7 +77,7 @@ func resolveGlobalArrays(prog *ast.Program, r *Report) {
 	// Pass 2: drop fully-resolved tables and their accessors if no other
 	// references remain.
 	remaining := make(map[string]int)
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Identifier); ok {
 			remaining[id.Name]++
 		}

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/walker"
 )
 
 // unflatten reverses control-flow flattening: it recognizes the dispatcher
@@ -21,7 +20,7 @@ import (
 // and restores the statements in execution order.
 func unflatten(prog *ast.Program, r *Report) {
 	unflattenList(&prog.Body, r)
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FunctionDeclaration:
 			if v.Body != nil {
@@ -189,7 +188,7 @@ func matchDiscriminant(n ast.Node, orderName, idxName string) bool {
 // false, constant numeric/string comparisons, and `while (<false>) ...`
 // loops (the dead-code injection traces).
 func pruneDeadBranches(prog *ast.Program, r *Report) {
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		switch v := n.(type) {
 		case *ast.IfStatement:
 			verdict, known := constBool(v.Test)
@@ -214,7 +213,7 @@ func pruneDeadBranches(prog *ast.Program, r *Report) {
 	})
 	// Drop the EmptyStatements left behind.
 	stripEmpty(&prog.Body)
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		if blk, ok := n.(*ast.BlockStatement); ok {
 			stripEmpty(&blk.Body)
 		}
@@ -318,7 +317,7 @@ func literalValue(n ast.Node) (any, bool) {
 // rewriteBracketsToDots turns a["prop"] into a.prop when prop is a valid
 // identifier (reversing obfuscated field references).
 func rewriteBracketsToDots(prog *ast.Program, r *Report) {
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		m, ok := n.(*ast.MemberExpression)
 		if !ok || !m.Computed {
 			return n

@@ -16,7 +16,6 @@ import (
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
 	"repro/internal/js/printer"
-	"repro/internal/js/walker"
 )
 
 // Report counts what each pass changed.
@@ -120,7 +119,7 @@ func Program(prog *ast.Program, opts Options) Report {
 // decodeURIComponent("%.."), unescape, and "cba".split("").reverse()
 // .join("").
 func foldStringExpressions(prog *ast.Program, r *Report) {
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		if s, ok := evalStringExpr(n); ok {
 			// Only count real folds, not literals that are already plain.
 			if _, already := n.(*ast.Literal); !already {

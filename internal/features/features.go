@@ -142,7 +142,7 @@ func ngramMemoSlot(key uint32) uint32 {
 // miss runs the inlined FNV-1a byte loop over the precomputed per-kind byte
 // table. A hit returns exactly
 // what the miss computed, so the bucket assignment stays bit-identical to
-// hashing the Type() strings with hash/fnv (each node contributes its type
+// hashing the ESTree type names with hash/fnv (each node contributes its type
 // name followed by a 0 separator) — golden_test.go locks this, because every
 // trained model's fingerprint depends on the bucket layout staying
 // byte-stable.
@@ -196,7 +196,7 @@ const (
 var kindHashBytes = func() [ast.KindCount][]byte {
 	var tbl [ast.KindCount][]byte
 	for k := ast.Kind(0); k < ast.KindCount; k++ {
-		tbl[k] = append([]byte(ast.KindName(k)), 0)
+		tbl[k] = append([]byte(k.String()), 0)
 	}
 	return tbl
 }()

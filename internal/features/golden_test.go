@@ -9,20 +9,19 @@ import (
 	"repro/internal/flow"
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/walker"
 	"repro/internal/transform"
 )
 
 // refNgram is the original string-hashing n-gram implementation, kept here as
 // the executable specification of the bucket layout: collect the pre-order
-// Type() sequence, feed each window's names (0-separated) through hash/fnv's
+// type-name sequence, feed each window's names (0-separated) through hash/fnv's
 // FNV-1a, bucket by Sum32 mod dims, normalize by window count. The memoized
 // kind-table path in ngramFeatures must reproduce it bit for bit — trained
 // models key on this layout.
 func refNgram(prog *ast.Program, dims int) []float64 {
 	var seq []string
-	walker.Walk(prog, func(nd ast.Node, _ int) bool {
-		seq = append(seq, nd.Type())
+	ast.Inspect(prog, func(nd ast.Node) bool {
+		seq = append(seq, nd.NodeKind().String())
 		return true
 	})
 	return refNgramNames(seq, dims)
@@ -103,7 +102,7 @@ func TestNGramGoldenVectors(t *testing.T) {
 func kindNames(kinds []uint16) []string {
 	names := make([]string, len(kinds))
 	for i, k := range kinds {
-		names[i] = ast.KindName(ast.Kind(k))
+		names[i] = ast.Kind(k).String()
 	}
 	return names
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
 	"repro/internal/js/scope/refspec"
-	"repro/internal/js/walker"
 	"repro/internal/transform"
 )
 
@@ -44,7 +43,7 @@ func refCounts(prog *ast.Program) (control, data int) {
 func refControlEdges(prog *ast.Program) []Edge {
 	b := &refCfgBuilder{}
 	b.stmtList(prog, prog.Body)
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		if cond, ok := n.(*ast.ConditionalExpression); ok {
 			b.edges = append(b.edges,
 				Edge{From: cond, To: cond.Consequent},
@@ -186,7 +185,7 @@ func (b *refCfgBuilder) stmt(n ast.Node) {
 }
 
 func (b *refCfgBuilder) funcBodies(expr ast.Node) {
-	walker.Walk(expr, func(n ast.Node, _ int) bool {
+	ast.Inspect(expr, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FunctionExpression:
 			if v.Body != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/walker"
 	"repro/internal/transform"
 )
 
@@ -21,7 +20,7 @@ import (
 // programNodes collects the node set of a program.
 func programNodes(prog *ast.Program) map[ast.Node]bool {
 	nodes := make(map[ast.Node]bool)
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		nodes[n] = true
 		return true
 	})

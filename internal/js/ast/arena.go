@@ -18,78 +18,21 @@ package ast
 // chunk fills up, grow abandons it in place (the nodes already handed out
 // pin it) and starts a fresh, larger one.
 type Arena struct {
-	program                  []Program
-	expressionStatement      []ExpressionStatement
-	blockStatement           []BlockStatement
-	emptyStatement           []EmptyStatement
-	debuggerStatement        []DebuggerStatement
-	withStatement            []WithStatement
-	returnStatement          []ReturnStatement
-	labeledStatement         []LabeledStatement
-	breakStatement           []BreakStatement
-	continueStatement        []ContinueStatement
-	ifStatement              []IfStatement
-	switchStatement          []SwitchStatement
-	switchCase               []SwitchCase
-	throwStatement           []ThrowStatement
-	tryStatement             []TryStatement
-	catchClause              []CatchClause
-	whileStatement           []WhileStatement
-	doWhileStatement         []DoWhileStatement
-	forStatement             []ForStatement
-	forInStatement           []ForInStatement
-	forOfStatement           []ForOfStatement
-	functionDeclaration      []FunctionDeclaration
-	variableDeclaration      []VariableDeclaration
-	variableDeclarator       []VariableDeclarator
-	classDeclaration         []ClassDeclaration
-	classBody                []ClassBody
-	propertyDefinition       []PropertyDefinition
-	methodDefinition         []MethodDefinition
-	importDeclaration        []ImportDeclaration
-	importSpecifier          []ImportSpecifier
-	importDefaultSpecifier   []ImportDefaultSpecifier
-	importNamespaceSpecifier []ImportNamespaceSpecifier
-	exportNamedDeclaration   []ExportNamedDeclaration
-	exportSpecifier          []ExportSpecifier
-	exportDefaultDeclaration []ExportDefaultDeclaration
-	exportAllDeclaration     []ExportAllDeclaration
-	identifier               []Identifier
-	literal                  []Literal
-	thisExpression           []ThisExpression
-	super                    []Super
-	arrayExpression          []ArrayExpression
-	objectExpression         []ObjectExpression
-	property                 []Property
-	functionExpression       []FunctionExpression
-	arrowFunctionExpression  []ArrowFunctionExpression
-	classExpression          []ClassExpression
-	templateLiteral          []TemplateLiteral
-	templateElement          []TemplateElement
-	taggedTemplateExpression []TaggedTemplateExpression
-	memberExpression         []MemberExpression
-	callExpression           []CallExpression
-	newExpression            []NewExpression
-	spreadElement            []SpreadElement
-	unaryExpression          []UnaryExpression
-	updateExpression         []UpdateExpression
-	binaryExpression         []BinaryExpression
-	logicalExpression        []LogicalExpression
-	assignmentExpression     []AssignmentExpression
-	conditionalExpression    []ConditionalExpression
-	sequenceExpression       []SequenceExpression
-	restElement              []RestElement
-	assignmentPattern        []AssignmentPattern
-	arrayPattern             []ArrayPattern
-	objectPattern            []ObjectPattern
-	awaitExpression          []AwaitExpression
-	yieldExpression          []YieldExpression
-	metaProperty             []MetaProperty
+	// slabs[k] holds the *slab[T] of the node type whose NodeKind is k,
+	// created the first time the file uses that kind.
+	slabs [KindCount]any
 
 	// count is the total number of nodes handed out, across every slab.
 	// StampIDs uses it (via NodeCount) to pre-size the dense ID table and
 	// the parse-order kind stream exactly.
 	count int
+}
+
+// slab is one node type's storage: the chunk being filled and the first
+// chunk, allocated together so a kind's first node costs one allocation.
+type slab[T any] struct {
+	buf   []T
+	first [arenaChunkMin]T
 }
 
 // NodeCount reports how many nodes this arena has allocated.
@@ -132,475 +75,29 @@ func arenaGrow[T any](old []T) []T {
 	return make([]T, 0, n)
 }
 
-// One constructor per node type. Each copies the given value into
-// arena-owned storage and returns the stable pointer, so call sites read
-// exactly like the &T{...} literals they replace.
-
-//jslint:hotpath
-func (a *Arena) NewProgram(v Program) *Program {
-	n := arenaAlloc(&a.count, &a.program)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewExpressionStatement(v ExpressionStatement) *ExpressionStatement {
-	n := arenaAlloc(&a.count, &a.expressionStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewBlockStatement(v BlockStatement) *BlockStatement {
-	n := arenaAlloc(&a.count, &a.blockStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewEmptyStatement(v EmptyStatement) *EmptyStatement {
-	n := arenaAlloc(&a.count, &a.emptyStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewDebuggerStatement(v DebuggerStatement) *DebuggerStatement {
-	n := arenaAlloc(&a.count, &a.debuggerStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewWithStatement(v WithStatement) *WithStatement {
-	n := arenaAlloc(&a.count, &a.withStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewReturnStatement(v ReturnStatement) *ReturnStatement {
-	n := arenaAlloc(&a.count, &a.returnStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewLabeledStatement(v LabeledStatement) *LabeledStatement {
-	n := arenaAlloc(&a.count, &a.labeledStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewBreakStatement(v BreakStatement) *BreakStatement {
-	n := arenaAlloc(&a.count, &a.breakStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewContinueStatement(v ContinueStatement) *ContinueStatement {
-	n := arenaAlloc(&a.count, &a.continueStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewIfStatement(v IfStatement) *IfStatement {
-	n := arenaAlloc(&a.count, &a.ifStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewSwitchStatement(v SwitchStatement) *SwitchStatement {
-	n := arenaAlloc(&a.count, &a.switchStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewSwitchCase(v SwitchCase) *SwitchCase {
-	n := arenaAlloc(&a.count, &a.switchCase)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewThrowStatement(v ThrowStatement) *ThrowStatement {
-	n := arenaAlloc(&a.count, &a.throwStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewTryStatement(v TryStatement) *TryStatement {
-	n := arenaAlloc(&a.count, &a.tryStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewCatchClause(v CatchClause) *CatchClause {
-	n := arenaAlloc(&a.count, &a.catchClause)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewWhileStatement(v WhileStatement) *WhileStatement {
-	n := arenaAlloc(&a.count, &a.whileStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewDoWhileStatement(v DoWhileStatement) *DoWhileStatement {
-	n := arenaAlloc(&a.count, &a.doWhileStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewForStatement(v ForStatement) *ForStatement {
-	n := arenaAlloc(&a.count, &a.forStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewForInStatement(v ForInStatement) *ForInStatement {
-	n := arenaAlloc(&a.count, &a.forInStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewForOfStatement(v ForOfStatement) *ForOfStatement {
-	n := arenaAlloc(&a.count, &a.forOfStatement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewFunctionDeclaration(v FunctionDeclaration) *FunctionDeclaration {
-	n := arenaAlloc(&a.count, &a.functionDeclaration)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewVariableDeclaration(v VariableDeclaration) *VariableDeclaration {
-	n := arenaAlloc(&a.count, &a.variableDeclaration)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewVariableDeclarator(v VariableDeclarator) *VariableDeclarator {
-	n := arenaAlloc(&a.count, &a.variableDeclarator)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewClassDeclaration(v ClassDeclaration) *ClassDeclaration {
-	n := arenaAlloc(&a.count, &a.classDeclaration)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewClassBody(v ClassBody) *ClassBody {
-	n := arenaAlloc(&a.count, &a.classBody)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewPropertyDefinition(v PropertyDefinition) *PropertyDefinition {
-	n := arenaAlloc(&a.count, &a.propertyDefinition)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewMethodDefinition(v MethodDefinition) *MethodDefinition {
-	n := arenaAlloc(&a.count, &a.methodDefinition)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewImportDeclaration(v ImportDeclaration) *ImportDeclaration {
-	n := arenaAlloc(&a.count, &a.importDeclaration)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewImportSpecifier(v ImportSpecifier) *ImportSpecifier {
-	n := arenaAlloc(&a.count, &a.importSpecifier)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewImportDefaultSpecifier(v ImportDefaultSpecifier) *ImportDefaultSpecifier {
-	n := arenaAlloc(&a.count, &a.importDefaultSpecifier)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewImportNamespaceSpecifier(v ImportNamespaceSpecifier) *ImportNamespaceSpecifier {
-	n := arenaAlloc(&a.count, &a.importNamespaceSpecifier)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewExportNamedDeclaration(v ExportNamedDeclaration) *ExportNamedDeclaration {
-	n := arenaAlloc(&a.count, &a.exportNamedDeclaration)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewExportSpecifier(v ExportSpecifier) *ExportSpecifier {
-	n := arenaAlloc(&a.count, &a.exportSpecifier)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewExportDefaultDeclaration(v ExportDefaultDeclaration) *ExportDefaultDeclaration {
-	n := arenaAlloc(&a.count, &a.exportDefaultDeclaration)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewExportAllDeclaration(v ExportAllDeclaration) *ExportAllDeclaration {
-	n := arenaAlloc(&a.count, &a.exportAllDeclaration)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewIdentifier(v Identifier) *Identifier {
-	n := arenaAlloc(&a.count, &a.identifier)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewLiteral(v Literal) *Literal {
-	n := arenaAlloc(&a.count, &a.literal)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewThisExpression(v ThisExpression) *ThisExpression {
-	n := arenaAlloc(&a.count, &a.thisExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewSuper(v Super) *Super {
-	n := arenaAlloc(&a.count, &a.super)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewArrayExpression(v ArrayExpression) *ArrayExpression {
-	n := arenaAlloc(&a.count, &a.arrayExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewObjectExpression(v ObjectExpression) *ObjectExpression {
-	n := arenaAlloc(&a.count, &a.objectExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewProperty(v Property) *Property {
-	n := arenaAlloc(&a.count, &a.property)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewFunctionExpression(v FunctionExpression) *FunctionExpression {
-	n := arenaAlloc(&a.count, &a.functionExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewArrowFunctionExpression(v ArrowFunctionExpression) *ArrowFunctionExpression {
-	n := arenaAlloc(&a.count, &a.arrowFunctionExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewClassExpression(v ClassExpression) *ClassExpression {
-	n := arenaAlloc(&a.count, &a.classExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewTemplateLiteral(v TemplateLiteral) *TemplateLiteral {
-	n := arenaAlloc(&a.count, &a.templateLiteral)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewTemplateElement(v TemplateElement) *TemplateElement {
-	n := arenaAlloc(&a.count, &a.templateElement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewTaggedTemplateExpression(v TaggedTemplateExpression) *TaggedTemplateExpression {
-	n := arenaAlloc(&a.count, &a.taggedTemplateExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewMemberExpression(v MemberExpression) *MemberExpression {
-	n := arenaAlloc(&a.count, &a.memberExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewCallExpression(v CallExpression) *CallExpression {
-	n := arenaAlloc(&a.count, &a.callExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewNewExpression(v NewExpression) *NewExpression {
-	n := arenaAlloc(&a.count, &a.newExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewSpreadElement(v SpreadElement) *SpreadElement {
-	n := arenaAlloc(&a.count, &a.spreadElement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewUnaryExpression(v UnaryExpression) *UnaryExpression {
-	n := arenaAlloc(&a.count, &a.unaryExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewUpdateExpression(v UpdateExpression) *UpdateExpression {
-	n := arenaAlloc(&a.count, &a.updateExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewBinaryExpression(v BinaryExpression) *BinaryExpression {
-	n := arenaAlloc(&a.count, &a.binaryExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewLogicalExpression(v LogicalExpression) *LogicalExpression {
-	n := arenaAlloc(&a.count, &a.logicalExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewAssignmentExpression(v AssignmentExpression) *AssignmentExpression {
-	n := arenaAlloc(&a.count, &a.assignmentExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewConditionalExpression(v ConditionalExpression) *ConditionalExpression {
-	n := arenaAlloc(&a.count, &a.conditionalExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewSequenceExpression(v SequenceExpression) *SequenceExpression {
-	n := arenaAlloc(&a.count, &a.sequenceExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewRestElement(v RestElement) *RestElement {
-	n := arenaAlloc(&a.count, &a.restElement)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewAssignmentPattern(v AssignmentPattern) *AssignmentPattern {
-	n := arenaAlloc(&a.count, &a.assignmentPattern)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewArrayPattern(v ArrayPattern) *ArrayPattern {
-	n := arenaAlloc(&a.count, &a.arrayPattern)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewObjectPattern(v ObjectPattern) *ObjectPattern {
-	n := arenaAlloc(&a.count, &a.objectPattern)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewAwaitExpression(v AwaitExpression) *AwaitExpression {
-	n := arenaAlloc(&a.count, &a.awaitExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewYieldExpression(v YieldExpression) *YieldExpression {
-	n := arenaAlloc(&a.count, &a.yieldExpression)
-	*n = v
-	return n
-}
-
-//jslint:hotpath
-func (a *Arena) NewMetaProperty(v MetaProperty) *MetaProperty {
-	n := arenaAlloc(&a.count, &a.metaProperty)
-	*n = v
-	return n
+// New copies v into arena-owned storage and returns the stable pointer, so
+// a call site reads exactly like the &T{...} literal it replaces. The node
+// type's kind picks its slab; NodeKind is valid on a nil receiver.
+//
+//jslint:hotpath
+func New[T any, P interface {
+	*T
+	NodeKind() Kind
+}](a *Arena, v T) *T {
+	k := P(nil).NodeKind()
+	s, _ := a.slabs[k].(*slab[T])
+	if s == nil {
+		s = newSlab[T]()
+		a.slabs[k] = s
+	}
+	n := arenaAlloc(&a.count, &s.buf)
+	*n = v
+	return n
+}
+
+// newSlab starts a node type's slab on its embedded first chunk.
+func newSlab[T any]() *slab[T] {
+	s := new(slab[T])
+	s.buf = s.first[:0]
+	return s
 }

@@ -8,7 +8,7 @@ func TestArenaDistinctNodes(t *testing.T) {
 	var a Arena
 	seen := make(map[*Identifier]bool)
 	for i := 0; i < 4*arenaChunkMin; i++ {
-		id := a.NewIdentifier(Identifier{Name: "x"})
+		id := New(&a, Identifier{Name: "x"})
 		if id == nil {
 			t.Fatalf("alloc %d: nil node", i)
 		}
@@ -30,7 +30,7 @@ func TestArenaPointerStability(t *testing.T) {
 	const n = 10 * arenaChunkMax // force many chunk growths
 	ptrs := make([]*Literal, n)
 	for i := range ptrs {
-		ptrs[i] = a.NewLiteral(Literal{Raw: "r"})
+		ptrs[i] = New(&a, Literal{Raw: "r"})
 	}
 	for i, p := range ptrs {
 		p.Raw = "w" // write through the original pointer after all growths
@@ -62,9 +62,9 @@ func TestArenaChunkSizing(t *testing.T) {
 // different kinds never overlap.
 func TestArenaPerKindIsolation(t *testing.T) {
 	var a Arena
-	id := a.NewIdentifier(Identifier{Name: "a"})
-	lit := a.NewLiteral(Literal{Raw: "1"})
-	bin := a.NewBinaryExpression(BinaryExpression{Operator: "+", Left: id, Right: lit})
+	id := New(&a, Identifier{Name: "a"})
+	lit := New(&a, Literal{Raw: "1"})
+	bin := New(&a, BinaryExpression{Operator: "+", Left: id, Right: lit})
 	if id.Name != "a" || lit.Raw != "1" || bin.Operator != "+" {
 		t.Fatalf("interleaved allocations clobbered each other: %+v %+v %+v", id, lit, bin)
 	}

@@ -37,12 +37,9 @@ type Range struct {
 
 // Node is implemented by every AST node.
 type Node interface {
-	// Type returns the ESTree node type name, e.g. "CallExpression".
-	Type() string
-	// NodeKind returns the interned node kind; KindName(NodeKind()) ==
-	// Type(). Hot traversal paths switch and index on it instead of the
-	// string. (Named NodeKind, not Kind, because ESTree mandates a Kind
-	// field on several node types.)
+	// NodeKind returns the interned node kind; its String is the ESTree
+	// node type name, e.g. "CallExpression". (Named NodeKind, not Kind,
+	// because ESTree mandates a Kind field on several node types.)
 	NodeKind() Kind
 	// Range returns the byte range of the node in its source; Lines.Span
 	// turns it into lines and columns.
@@ -93,8 +90,6 @@ type Program struct {
 	NodeCount uint32
 }
 
-func (*Program) Type() string { return "Program" }
-
 // ExpressionStatement wraps an expression used as a statement.
 type ExpressionStatement struct {
 	base
@@ -102,29 +97,21 @@ type ExpressionStatement struct {
 	Directive  string // non-empty for directive prologues such as "use strict"
 }
 
-func (*ExpressionStatement) Type() string { return "ExpressionStatement" }
-
 // BlockStatement is a `{ ... }` statement list.
 type BlockStatement struct {
 	base
 	Body []Node
 }
 
-func (*BlockStatement) Type() string { return "BlockStatement" }
-
 // EmptyStatement is a lone semicolon.
 type EmptyStatement struct {
 	base
 }
 
-func (*EmptyStatement) Type() string { return "EmptyStatement" }
-
 // DebuggerStatement is the `debugger` statement.
 type DebuggerStatement struct {
 	base
 }
-
-func (*DebuggerStatement) Type() string { return "DebuggerStatement" }
 
 // WithStatement is the (deprecated) `with (obj) stmt` construct.
 type WithStatement struct {
@@ -133,15 +120,11 @@ type WithStatement struct {
 	Body   Node
 }
 
-func (*WithStatement) Type() string { return "WithStatement" }
-
 // ReturnStatement returns from a function, optionally with a value.
 type ReturnStatement struct {
 	base
 	Argument Node // may be nil
 }
-
-func (*ReturnStatement) Type() string { return "ReturnStatement" }
 
 // LabeledStatement is `label: stmt`.
 type LabeledStatement struct {
@@ -150,23 +133,17 @@ type LabeledStatement struct {
 	Body  Node
 }
 
-func (*LabeledStatement) Type() string { return "LabeledStatement" }
-
 // BreakStatement exits a loop or labeled statement.
 type BreakStatement struct {
 	base
 	Label *Identifier // may be nil
 }
 
-func (*BreakStatement) Type() string { return "BreakStatement" }
-
 // ContinueStatement continues a loop iteration.
 type ContinueStatement struct {
 	base
 	Label *Identifier // may be nil
 }
-
-func (*ContinueStatement) Type() string { return "ContinueStatement" }
 
 // IfStatement is `if (test) consequent else alternate`.
 type IfStatement struct {
@@ -176,16 +153,12 @@ type IfStatement struct {
 	Alternate  Node // may be nil
 }
 
-func (*IfStatement) Type() string { return "IfStatement" }
-
 // SwitchStatement is `switch (disc) { cases }`.
 type SwitchStatement struct {
 	base
 	Discriminant Node
 	Cases        []*SwitchCase
 }
-
-func (*SwitchStatement) Type() string { return "SwitchStatement" }
 
 // SwitchCase is one `case test:` or `default:` clause.
 type SwitchCase struct {
@@ -194,15 +167,11 @@ type SwitchCase struct {
 	Consequent []Node
 }
 
-func (*SwitchCase) Type() string { return "SwitchCase" }
-
 // ThrowStatement raises an exception.
 type ThrowStatement struct {
 	base
 	Argument Node
 }
-
-func (*ThrowStatement) Type() string { return "ThrowStatement" }
 
 // TryStatement is `try {} catch () {} finally {}`.
 type TryStatement struct {
@@ -212,16 +181,12 @@ type TryStatement struct {
 	Finalizer *BlockStatement // may be nil
 }
 
-func (*TryStatement) Type() string { return "TryStatement" }
-
 // CatchClause is the handler of a TryStatement.
 type CatchClause struct {
 	base
 	Param Node // Identifier or pattern; may be nil (ES2019 optional binding)
 	Body  *BlockStatement
 }
-
-func (*CatchClause) Type() string { return "CatchClause" }
 
 // WhileStatement is a `while` loop.
 type WhileStatement struct {
@@ -230,16 +195,12 @@ type WhileStatement struct {
 	Body Node
 }
 
-func (*WhileStatement) Type() string { return "WhileStatement" }
-
 // DoWhileStatement is a `do ... while` loop.
 type DoWhileStatement struct {
 	base
 	Body Node
 	Test Node
 }
-
-func (*DoWhileStatement) Type() string { return "DoWhileStatement" }
 
 // ForStatement is a C-style `for` loop.
 type ForStatement struct {
@@ -250,8 +211,6 @@ type ForStatement struct {
 	Body   Node
 }
 
-func (*ForStatement) Type() string { return "ForStatement" }
-
 // ForInStatement is `for (left in right) body`.
 type ForInStatement struct {
 	base
@@ -259,8 +218,6 @@ type ForInStatement struct {
 	Right Node
 	Body  Node
 }
-
-func (*ForInStatement) Type() string { return "ForInStatement" }
 
 // ForOfStatement is `for (left of right) body`.
 type ForOfStatement struct {
@@ -270,8 +227,6 @@ type ForOfStatement struct {
 	Body  Node
 	Await bool
 }
-
-func (*ForOfStatement) Type() string { return "ForOfStatement" }
 
 // ---------------------------------------------------------------------------
 // Declarations
@@ -287,8 +242,6 @@ type FunctionDeclaration struct {
 	Async     bool
 }
 
-func (*FunctionDeclaration) Type() string { return "FunctionDeclaration" }
-
 // VariableDeclaration is `var/let/const` with one or more declarators.
 type VariableDeclaration struct {
 	base
@@ -296,16 +249,12 @@ type VariableDeclaration struct {
 	Declarations []*VariableDeclarator
 }
 
-func (*VariableDeclaration) Type() string { return "VariableDeclaration" }
-
 // VariableDeclarator is a single `name = init` binding.
 type VariableDeclarator struct {
 	base
 	ID   Node // Identifier or pattern
 	Init Node // may be nil
 }
-
-func (*VariableDeclarator) Type() string { return "VariableDeclarator" }
 
 // ClassDeclaration declares a named class.
 type ClassDeclaration struct {
@@ -315,16 +264,12 @@ type ClassDeclaration struct {
 	Body       *ClassBody
 }
 
-func (*ClassDeclaration) Type() string { return "ClassDeclaration" }
-
 // ClassBody holds the member definitions of a class (MethodDefinition and
 // PropertyDefinition nodes).
 type ClassBody struct {
 	base
 	Body []Node
 }
-
-func (*ClassBody) Type() string { return "ClassBody" }
 
 // PropertyDefinition is a class field, `x = 1;` or `static x;` (ES2022).
 type PropertyDefinition struct {
@@ -335,8 +280,6 @@ type PropertyDefinition struct {
 	Static   bool
 }
 
-func (*PropertyDefinition) Type() string { return "PropertyDefinition" }
-
 // MethodDefinition is one method, getter, setter, or constructor.
 type MethodDefinition struct {
 	base
@@ -346,8 +289,6 @@ type MethodDefinition struct {
 	Computed bool
 	Static   bool
 }
-
-func (*MethodDefinition) Type() string { return "MethodDefinition" }
 
 // ---------------------------------------------------------------------------
 // Modules
@@ -360,8 +301,6 @@ type ImportDeclaration struct {
 	Source     *Literal
 }
 
-func (*ImportDeclaration) Type() string { return "ImportDeclaration" }
-
 // ImportSpecifier is `{name}` or `{name as local}` in an import.
 type ImportSpecifier struct {
 	base
@@ -369,23 +308,17 @@ type ImportSpecifier struct {
 	Local    *Identifier
 }
 
-func (*ImportSpecifier) Type() string { return "ImportSpecifier" }
-
 // ImportDefaultSpecifier is the `name` in `import name from "mod"`.
 type ImportDefaultSpecifier struct {
 	base
 	Local *Identifier
 }
 
-func (*ImportDefaultSpecifier) Type() string { return "ImportDefaultSpecifier" }
-
 // ImportNamespaceSpecifier is `* as name`.
 type ImportNamespaceSpecifier struct {
 	base
 	Local *Identifier
 }
-
-func (*ImportNamespaceSpecifier) Type() string { return "ImportNamespaceSpecifier" }
 
 // ExportNamedDeclaration is `export {a, b}` or `export const x = ...`.
 type ExportNamedDeclaration struct {
@@ -395,8 +328,6 @@ type ExportNamedDeclaration struct {
 	Source      *Literal // may be nil
 }
 
-func (*ExportNamedDeclaration) Type() string { return "ExportNamedDeclaration" }
-
 // ExportSpecifier is `{local as exported}` in an export.
 type ExportSpecifier struct {
 	base
@@ -404,23 +335,17 @@ type ExportSpecifier struct {
 	Exported *Identifier
 }
 
-func (*ExportSpecifier) Type() string { return "ExportSpecifier" }
-
 // ExportDefaultDeclaration is `export default expr`.
 type ExportDefaultDeclaration struct {
 	base
 	Declaration Node
 }
 
-func (*ExportDefaultDeclaration) Type() string { return "ExportDefaultDeclaration" }
-
 // ExportAllDeclaration is `export * from "mod"`.
 type ExportAllDeclaration struct {
 	base
 	Source *Literal
 }
-
-func (*ExportAllDeclaration) Type() string { return "ExportAllDeclaration" }
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -431,8 +356,6 @@ type Identifier struct {
 	base
 	Name string
 }
-
-func (*Identifier) Type() string { return "Identifier" }
 
 // LiteralKind discriminates the runtime type of a Literal.
 type LiteralKind int
@@ -461,21 +384,15 @@ type Literal struct {
 	}
 }
 
-func (*Literal) Type() string { return "Literal" }
-
 // ThisExpression is the `this` keyword.
 type ThisExpression struct {
 	base
 }
 
-func (*ThisExpression) Type() string { return "ThisExpression" }
-
 // Super is the `super` keyword inside class methods.
 type Super struct {
 	base
 }
-
-func (*Super) Type() string { return "Super" }
 
 // ArrayExpression is `[a, b, ...]`. Elements may contain nil for elisions.
 type ArrayExpression struct {
@@ -483,15 +400,11 @@ type ArrayExpression struct {
 	Elements []Node
 }
 
-func (*ArrayExpression) Type() string { return "ArrayExpression" }
-
 // ObjectExpression is `{k: v, ...}`.
 type ObjectExpression struct {
 	base
 	Properties []Node // *Property or *SpreadElement
 }
-
-func (*ObjectExpression) Type() string { return "ObjectExpression" }
 
 // Property is one key-value entry of an object literal.
 type Property struct {
@@ -504,8 +417,6 @@ type Property struct {
 	Method    bool
 }
 
-func (*Property) Type() string { return "Property" }
-
 // FunctionExpression is an anonymous or named function expression.
 type FunctionExpression struct {
 	base
@@ -516,8 +427,6 @@ type FunctionExpression struct {
 	Async     bool
 }
 
-func (*FunctionExpression) Type() string { return "FunctionExpression" }
-
 // ArrowFunctionExpression is `(params) => body`.
 type ArrowFunctionExpression struct {
 	base
@@ -527,8 +436,6 @@ type ArrowFunctionExpression struct {
 	Async      bool
 }
 
-func (*ArrowFunctionExpression) Type() string { return "ArrowFunctionExpression" }
-
 // ClassExpression is an anonymous or named class expression.
 type ClassExpression struct {
 	base
@@ -537,16 +444,12 @@ type ClassExpression struct {
 	Body       *ClassBody
 }
 
-func (*ClassExpression) Type() string { return "ClassExpression" }
-
 // TemplateLiteral is a backtick template string.
 type TemplateLiteral struct {
 	base
 	Quasis      []*TemplateElement
 	Expressions []Node
 }
-
-func (*TemplateLiteral) Type() string { return "TemplateLiteral" }
 
 // TemplateElement is one literal chunk of a template string.
 type TemplateElement struct {
@@ -556,16 +459,12 @@ type TemplateElement struct {
 	Tail   bool
 }
 
-func (*TemplateElement) Type() string { return "TemplateElement" }
-
 // TaggedTemplateExpression is `tag`...“ `.
 type TaggedTemplateExpression struct {
 	base
 	Tag   Node
 	Quasi *TemplateLiteral
 }
-
-func (*TaggedTemplateExpression) Type() string { return "TaggedTemplateExpression" }
 
 // MemberExpression is `obj.prop` (dot) or `obj[prop]` (bracket/computed).
 type MemberExpression struct {
@@ -576,8 +475,6 @@ type MemberExpression struct {
 	Optional bool // true for `?.`
 }
 
-func (*MemberExpression) Type() string { return "MemberExpression" }
-
 // CallExpression is `callee(args...)`.
 type CallExpression struct {
 	base
@@ -586,8 +483,6 @@ type CallExpression struct {
 	Optional  bool // true for `?.()`
 }
 
-func (*CallExpression) Type() string { return "CallExpression" }
-
 // NewExpression is `new callee(args...)`.
 type NewExpression struct {
 	base
@@ -595,15 +490,11 @@ type NewExpression struct {
 	Arguments []Node
 }
 
-func (*NewExpression) Type() string { return "NewExpression" }
-
 // SpreadElement is `...arg` in calls, arrays, and objects.
 type SpreadElement struct {
 	base
 	Argument Node
 }
-
-func (*SpreadElement) Type() string { return "SpreadElement" }
 
 // UnaryExpression is a prefix operator such as `!x`, `typeof x`, `-x`.
 type UnaryExpression struct {
@@ -612,8 +503,6 @@ type UnaryExpression struct {
 	Argument Node
 }
 
-func (*UnaryExpression) Type() string { return "UnaryExpression" }
-
 // UpdateExpression is `++x`, `x++`, `--x`, or `x--`.
 type UpdateExpression struct {
 	base
@@ -621,8 +510,6 @@ type UpdateExpression struct {
 	Argument Node
 	Prefix   bool
 }
-
-func (*UpdateExpression) Type() string { return "UpdateExpression" }
 
 // BinaryExpression is an arithmetic, relational, bitwise, `in`, or
 // `instanceof` expression.
@@ -633,8 +520,6 @@ type BinaryExpression struct {
 	Right    Node
 }
 
-func (*BinaryExpression) Type() string { return "BinaryExpression" }
-
 // LogicalExpression is `&&`, `||`, or `??`.
 type LogicalExpression struct {
 	base
@@ -642,8 +527,6 @@ type LogicalExpression struct {
 	Left     Node
 	Right    Node
 }
-
-func (*LogicalExpression) Type() string { return "LogicalExpression" }
 
 // AssignmentExpression is `target op= value`.
 type AssignmentExpression struct {
@@ -653,8 +536,6 @@ type AssignmentExpression struct {
 	Right    Node
 }
 
-func (*AssignmentExpression) Type() string { return "AssignmentExpression" }
-
 // ConditionalExpression is the ternary `test ? consequent : alternate`.
 type ConditionalExpression struct {
 	base
@@ -663,23 +544,17 @@ type ConditionalExpression struct {
 	Alternate  Node
 }
 
-func (*ConditionalExpression) Type() string { return "ConditionalExpression" }
-
 // SequenceExpression is the comma operator `a, b, c`.
 type SequenceExpression struct {
 	base
 	Expressions []Node
 }
 
-func (*SequenceExpression) Type() string { return "SequenceExpression" }
-
 // RestElement is `...name` in parameter lists and patterns.
 type RestElement struct {
 	base
 	Argument Node
 }
-
-func (*RestElement) Type() string { return "RestElement" }
 
 // AssignmentPattern is a default value in a binding position, `x = 1`.
 type AssignmentPattern struct {
@@ -688,15 +563,11 @@ type AssignmentPattern struct {
 	Right Node
 }
 
-func (*AssignmentPattern) Type() string { return "AssignmentPattern" }
-
 // ArrayPattern is array destructuring, `[a, b] = ...`.
 type ArrayPattern struct {
 	base
 	Elements []Node // may contain nil for holes
 }
-
-func (*ArrayPattern) Type() string { return "ArrayPattern" }
 
 // ObjectPattern is object destructuring, `{a, b} = ...`.
 type ObjectPattern struct {
@@ -704,15 +575,11 @@ type ObjectPattern struct {
 	Properties []Node // *Property or *RestElement
 }
 
-func (*ObjectPattern) Type() string { return "ObjectPattern" }
-
 // AwaitExpression is `await arg`.
 type AwaitExpression struct {
 	base
 	Argument Node
 }
-
-func (*AwaitExpression) Type() string { return "AwaitExpression" }
 
 // YieldExpression is `yield` or `yield* arg`.
 type YieldExpression struct {
@@ -721,16 +588,12 @@ type YieldExpression struct {
 	Delegate bool
 }
 
-func (*YieldExpression) Type() string { return "YieldExpression" }
-
 // MetaProperty is `new.target` or `import.meta`.
 type MetaProperty struct {
 	base
 	Meta     *Identifier
 	Property *Identifier
 }
-
-func (*MetaProperty) Type() string { return "MetaProperty" }
 
 // ---------------------------------------------------------------------------
 // Helpers

@@ -9,9 +9,17 @@ func TestNodeTypeNames(t *testing.T) {
 		&Program{}:                  "Program",
 		&ExpressionStatement{}:      "ExpressionStatement",
 		&BlockStatement{}:           "BlockStatement",
+		&EmptyStatement{}:           "EmptyStatement",
+		&DebuggerStatement{}:        "DebuggerStatement",
+		&WithStatement{}:            "WithStatement",
+		&ReturnStatement{}:          "ReturnStatement",
+		&LabeledStatement{}:         "LabeledStatement",
+		&BreakStatement{}:           "BreakStatement",
+		&ContinueStatement{}:        "ContinueStatement",
 		&IfStatement{}:              "IfStatement",
 		&SwitchStatement{}:          "SwitchStatement",
 		&SwitchCase{}:               "SwitchCase",
+		&ThrowStatement{}:           "ThrowStatement",
 		&TryStatement{}:             "TryStatement",
 		&CatchClause{}:              "CatchClause",
 		&WhileStatement{}:           "WhileStatement",
@@ -20,32 +28,58 @@ func TestNodeTypeNames(t *testing.T) {
 		&ForInStatement{}:           "ForInStatement",
 		&ForOfStatement{}:           "ForOfStatement",
 		&FunctionDeclaration{}:      "FunctionDeclaration",
-		&FunctionExpression{}:       "FunctionExpression",
-		&ArrowFunctionExpression{}:  "ArrowFunctionExpression",
 		&VariableDeclaration{}:      "VariableDeclaration",
 		&VariableDeclarator{}:       "VariableDeclarator",
+		&ClassDeclaration{}:         "ClassDeclaration",
+		&ClassBody{}:                "ClassBody",
+		&PropertyDefinition{}:       "PropertyDefinition",
+		&MethodDefinition{}:         "MethodDefinition",
+		&ImportDeclaration{}:        "ImportDeclaration",
+		&ImportSpecifier{}:          "ImportSpecifier",
+		&ImportDefaultSpecifier{}:   "ImportDefaultSpecifier",
+		&ImportNamespaceSpecifier{}: "ImportNamespaceSpecifier",
+		&ExportNamedDeclaration{}:   "ExportNamedDeclaration",
+		&ExportSpecifier{}:          "ExportSpecifier",
+		&ExportDefaultDeclaration{}: "ExportDefaultDeclaration",
+		&ExportAllDeclaration{}:     "ExportAllDeclaration",
 		&Identifier{}:               "Identifier",
 		&Literal{}:                  "Literal",
+		&ThisExpression{}:           "ThisExpression",
+		&Super{}:                    "Super",
+		&ArrayExpression{}:          "ArrayExpression",
+		&ObjectExpression{}:         "ObjectExpression",
+		&Property{}:                 "Property",
+		&FunctionExpression{}:       "FunctionExpression",
+		&ArrowFunctionExpression{}:  "ArrowFunctionExpression",
+		&ClassExpression{}:          "ClassExpression",
+		&TemplateLiteral{}:          "TemplateLiteral",
+		&TemplateElement{}:          "TemplateElement",
+		&TaggedTemplateExpression{}: "TaggedTemplateExpression",
 		&MemberExpression{}:         "MemberExpression",
 		&CallExpression{}:           "CallExpression",
 		&NewExpression{}:            "NewExpression",
+		&SpreadElement{}:            "SpreadElement",
+		&UnaryExpression{}:          "UnaryExpression",
+		&UpdateExpression{}:         "UpdateExpression",
 		&BinaryExpression{}:         "BinaryExpression",
 		&LogicalExpression{}:        "LogicalExpression",
 		&AssignmentExpression{}:     "AssignmentExpression",
 		&ConditionalExpression{}:    "ConditionalExpression",
 		&SequenceExpression{}:       "SequenceExpression",
-		&TemplateLiteral{}:          "TemplateLiteral",
-		&TaggedTemplateExpression{}: "TaggedTemplateExpression",
-		&UnaryExpression{}:          "UnaryExpression",
-		&UpdateExpression{}:         "UpdateExpression",
-		&ThisExpression{}:           "ThisExpression",
-		&ArrayExpression{}:          "ArrayExpression",
-		&ObjectExpression{}:         "ObjectExpression",
-		&Property{}:                 "Property",
+		&RestElement{}:              "RestElement",
+		&AssignmentPattern{}:        "AssignmentPattern",
+		&ArrayPattern{}:             "ArrayPattern",
+		&ObjectPattern{}:            "ObjectPattern",
+		&AwaitExpression{}:          "AwaitExpression",
+		&YieldExpression{}:          "YieldExpression",
+		&MetaProperty{}:             "MetaProperty",
+	}
+	if len(tests) != int(KindCount)-1 {
+		t.Fatalf("pinned %d names, the kind table has %d", len(tests), KindCount-1)
 	}
 	for node, want := range tests {
-		if got := node.Type(); got != want {
-			t.Fatalf("Type() = %q, want %q", got, want)
+		if got := node.NodeKind().String(); got != want {
+			t.Errorf("%T.NodeKind().String() = %q, want %q", node, got, want)
 		}
 	}
 }
@@ -80,8 +114,8 @@ func TestChildrenTemplateInterleaving(t *testing.T) {
 		t.Fatalf("children = %d, want %d", len(kids), len(want))
 	}
 	for i, k := range kids {
-		if k.Type() != want[i] {
-			t.Fatalf("child %d = %s, want %s", i, k.Type(), want[i])
+		if k.NodeKind().String() != want[i] {
+			t.Fatalf("child %d = %s, want %s", i, k.NodeKind().String(), want[i])
 		}
 	}
 }

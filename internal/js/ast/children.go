@@ -2,7 +2,7 @@ package ast
 
 // EachChild calls f for each direct non-nil child of n in source order,
 // skipping nil slots (e.g. array elisions or absent else-branches). It is the
-// single source of truth for tree traversal — Children and the walker are
+// single source of truth for tree traversal — Children and Inspect are
 // built on it — and it never allocates, which matters to hot per-node passes
 // like the flow builder and the static-analysis engine.
 func EachChild(n Node, f func(Node)) {
@@ -202,6 +202,211 @@ func Children(n Node) []Node {
 	var out []Node
 	EachChild(n, func(c Node) { out = append(out, c) })
 	return out
+}
+
+// Inspect traverses the tree rooted at n in pre-order, calling f for every
+// node. When f returns false, Inspect skips that node's children.
+func Inspect(n Node, f func(Node) bool) {
+	if n == nil || !f(n) {
+		return
+	}
+	EachChild(n, func(c Node) { Inspect(c, f) })
+}
+
+// RewriteFunc maps a node to its replacement. Returning the node unchanged
+// keeps it; returning nil is not allowed (use an EmptyStatement to delete a
+// statement).
+type RewriteFunc func(n Node) Node
+
+// Rewrite rebuilds the tree bottom-up: children are rewritten first, then f
+// is applied to the node itself. The input tree is mutated in place (child
+// fields are reassigned) and the possibly-replaced root is returned.
+func Rewrite(n Node, f RewriteFunc) Node {
+	if n == nil {
+		return nil
+	}
+	rewriteChildren(n, f)
+	return f(n)
+}
+
+// rwSlice rewrites each entry of nodes in place, leaving nil holes (array
+// elisions) nil.
+func rwSlice(nodes []Node, f RewriteFunc) []Node {
+	for i, n := range nodes {
+		nodes[i] = Rewrite(n, f)
+	}
+	return nodes
+}
+
+func rwBlock(b *BlockStatement, f RewriteFunc) *BlockStatement {
+	if b == nil {
+		return nil
+	}
+	out := Rewrite(b, f)
+	if blk, ok := out.(*BlockStatement); ok {
+		return blk
+	}
+	// A rewriter replaced a block with a non-block statement; wrap it to keep
+	// the field type.
+	return &BlockStatement{Body: []Node{out}}
+}
+
+func rewriteChildren(n Node, f RewriteFunc) {
+	switch v := n.(type) {
+	case *Program:
+		v.Body = rwSlice(v.Body, f)
+	case *ExpressionStatement:
+		v.Expression = Rewrite(v.Expression, f)
+	case *BlockStatement:
+		v.Body = rwSlice(v.Body, f)
+	case *WithStatement:
+		v.Object = Rewrite(v.Object, f)
+		v.Body = Rewrite(v.Body, f)
+	case *ReturnStatement:
+		v.Argument = Rewrite(v.Argument, f)
+	case *LabeledStatement:
+		v.Body = Rewrite(v.Body, f)
+	case *IfStatement:
+		v.Test = Rewrite(v.Test, f)
+		v.Consequent = Rewrite(v.Consequent, f)
+		v.Alternate = Rewrite(v.Alternate, f)
+	case *SwitchStatement:
+		v.Discriminant = Rewrite(v.Discriminant, f)
+		for _, c := range v.Cases {
+			c.Test = Rewrite(c.Test, f)
+			c.Consequent = rwSlice(c.Consequent, f)
+		}
+	case *ThrowStatement:
+		v.Argument = Rewrite(v.Argument, f)
+	case *TryStatement:
+		v.Block = rwBlock(v.Block, f)
+		if v.Handler != nil {
+			v.Handler.Param = Rewrite(v.Handler.Param, f)
+			v.Handler.Body = rwBlock(v.Handler.Body, f)
+		}
+		v.Finalizer = rwBlock(v.Finalizer, f)
+	case *WhileStatement:
+		v.Test = Rewrite(v.Test, f)
+		v.Body = Rewrite(v.Body, f)
+	case *DoWhileStatement:
+		v.Body = Rewrite(v.Body, f)
+		v.Test = Rewrite(v.Test, f)
+	case *ForStatement:
+		v.Init = Rewrite(v.Init, f)
+		v.Test = Rewrite(v.Test, f)
+		v.Update = Rewrite(v.Update, f)
+		v.Body = Rewrite(v.Body, f)
+	case *ForInStatement:
+		v.Left = Rewrite(v.Left, f)
+		v.Right = Rewrite(v.Right, f)
+		v.Body = Rewrite(v.Body, f)
+	case *ForOfStatement:
+		v.Left = Rewrite(v.Left, f)
+		v.Right = Rewrite(v.Right, f)
+		v.Body = Rewrite(v.Body, f)
+	case *FunctionDeclaration:
+		v.Params = rwSlice(v.Params, f)
+		v.Body = rwBlock(v.Body, f)
+	case *VariableDeclaration:
+		for _, d := range v.Declarations {
+			d.ID = Rewrite(d.ID, f)
+			d.Init = Rewrite(d.Init, f)
+		}
+	case *ClassDeclaration:
+		v.SuperClass = Rewrite(v.SuperClass, f)
+		rewriteClassBody(v.Body, f)
+	case *ClassExpression:
+		v.SuperClass = Rewrite(v.SuperClass, f)
+		rewriteClassBody(v.Body, f)
+	case *ExportNamedDeclaration:
+		v.Declaration = Rewrite(v.Declaration, f)
+	case *ExportDefaultDeclaration:
+		v.Declaration = Rewrite(v.Declaration, f)
+	case *ArrayExpression:
+		v.Elements = rwSlice(v.Elements, f)
+	case *ObjectExpression:
+		v.Properties = rwSlice(v.Properties, f)
+	case *Property:
+		v.Key = Rewrite(v.Key, f)
+		v.Value = Rewrite(v.Value, f)
+	case *FunctionExpression:
+		v.Params = rwSlice(v.Params, f)
+		v.Body = rwBlock(v.Body, f)
+	case *ArrowFunctionExpression:
+		v.Params = rwSlice(v.Params, f)
+		v.Body = Rewrite(v.Body, f)
+	case *TemplateLiteral:
+		v.Expressions = rwSlice(v.Expressions, f)
+	case *TaggedTemplateExpression:
+		v.Tag = Rewrite(v.Tag, f)
+		if q := Rewrite(v.Quasi, f); q != nil {
+			if tq, ok := q.(*TemplateLiteral); ok {
+				v.Quasi = tq
+			}
+		}
+	case *MemberExpression:
+		v.Object = Rewrite(v.Object, f)
+		v.Property = Rewrite(v.Property, f)
+	case *CallExpression:
+		v.Callee = Rewrite(v.Callee, f)
+		v.Arguments = rwSlice(v.Arguments, f)
+	case *NewExpression:
+		v.Callee = Rewrite(v.Callee, f)
+		v.Arguments = rwSlice(v.Arguments, f)
+	case *SpreadElement:
+		v.Argument = Rewrite(v.Argument, f)
+	case *UnaryExpression:
+		v.Argument = Rewrite(v.Argument, f)
+	case *UpdateExpression:
+		v.Argument = Rewrite(v.Argument, f)
+	case *BinaryExpression:
+		v.Left = Rewrite(v.Left, f)
+		v.Right = Rewrite(v.Right, f)
+	case *LogicalExpression:
+		v.Left = Rewrite(v.Left, f)
+		v.Right = Rewrite(v.Right, f)
+	case *AssignmentExpression:
+		v.Left = Rewrite(v.Left, f)
+		v.Right = Rewrite(v.Right, f)
+	case *ConditionalExpression:
+		v.Test = Rewrite(v.Test, f)
+		v.Consequent = Rewrite(v.Consequent, f)
+		v.Alternate = Rewrite(v.Alternate, f)
+	case *SequenceExpression:
+		v.Expressions = rwSlice(v.Expressions, f)
+	case *RestElement:
+		v.Argument = Rewrite(v.Argument, f)
+	case *AssignmentPattern:
+		v.Left = Rewrite(v.Left, f)
+		v.Right = Rewrite(v.Right, f)
+	case *ArrayPattern:
+		v.Elements = rwSlice(v.Elements, f)
+	case *ObjectPattern:
+		v.Properties = rwSlice(v.Properties, f)
+	case *AwaitExpression:
+		v.Argument = Rewrite(v.Argument, f)
+	case *YieldExpression:
+		v.Argument = Rewrite(v.Argument, f)
+	}
+}
+
+func rewriteClassBody(b *ClassBody, f RewriteFunc) {
+	if b == nil {
+		return
+	}
+	for _, member := range b.Body {
+		switch m := member.(type) {
+		case *MethodDefinition:
+			m.Key = Rewrite(m.Key, f)
+			if m.Value != nil {
+				m.Value.Params = rwSlice(m.Value.Params, f)
+				m.Value.Body = rwBlock(m.Value.Body, f)
+			}
+		case *PropertyDefinition:
+			m.Key = Rewrite(m.Key, f)
+			m.Value = Rewrite(m.Value, f)
+		}
+	}
 }
 
 // each applies f to the non-nil entries of nodes.

@@ -1,19 +1,18 @@
 package ast
 
-// Kind is a small-integer identifier for a node's ESTree type. Traversal-heavy
-// consumers (feature extraction, the static-analysis dispatcher, the flow
-// builder) switch and index on kinds instead of comparing or hashing the
-// Type() strings: a Kind fits in two bytes, compares in one instruction, and
-// indexes dense tables. Every Kind maps back to the exact Type() string via
-// KindName, and kinds_test.go locks the two representations together, so the
-// string vocabulary the paper's Esprima pipeline defines remains the source
-// of truth.
+// Kind is a small-integer identifier for a node's ESTree type, and the one
+// place each type's name is spelled: String returns the name the paper's
+// Esprima pipeline uses ("CallExpression", ...), which keys the n-gram
+// feature buckets. Traversal-heavy consumers (feature extraction, the
+// static-analysis dispatcher, the flow builder) switch and index on kinds: a
+// Kind fits in two bytes, compares in one instruction, and indexes dense
+// tables.
 //
 // The //jslint:enum directive marks the constant set as closed: the jslint
 // kind-exhaustive analyzer requires every switch and every dense
 // [KindCount]-sized table over Kind to cover all kinds or carry an explicit
-// default, keeping dispatch sites in lockstep with KindName/KindForName when
-// a kind is added.
+// default, keeping dispatch sites in lockstep with kindNames when a kind is
+// added.
 //
 //jslint:enum
 type Kind uint16
@@ -96,8 +95,7 @@ const (
 	KindCount
 )
 
-// kindNames maps each kind to its ESTree type name — byte-for-byte the string
-// the node's Type() method returns.
+// kindNames maps each kind to its ESTree type name.
 var kindNames = [KindCount]string{
 	KindInvalid:                  "",
 	KindProgram:                  "Program",
@@ -177,29 +175,9 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// KindName returns the ESTree type name for k, identical to the Type() string
-// of every node with that kind.
-func KindName(k Kind) string { return k.String() }
-
-// kindByName inverts kindNames for KindForName.
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, KindCount)
-	for k := Kind(1); k < KindCount; k++ {
-		m[kindNames[k]] = k
-	}
-	return m
-}()
-
-// KindForName maps an ESTree type name to its kind. The boolean is false for
-// names outside the AST vocabulary.
-func KindForName(name string) (Kind, bool) {
-	k, ok := kindByName[name]
-	return k, ok
-}
-
 // NodeKind methods. One per node type, returning the interned constant; all
-// are valid on nil receivers (they touch no fields), matching the Type()
-// methods. The method is named NodeKind rather than Kind because several
+// are valid on nil receivers (they touch no fields), which is how New finds
+// a node type's slab. The method is named NodeKind rather than Kind because several
 // nodes carry an ESTree-mandated Kind field (VariableDeclaration, Property,
 // MethodDefinition) or a discriminator of their own (Literal).
 

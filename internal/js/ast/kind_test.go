@@ -1,6 +1,9 @@
 package ast
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // allNodes instantiates one zero value of every concrete node type. New node
 // types must be added here so the kind/type lockstep tests cover them;
@@ -33,14 +36,13 @@ func allNodes() []Node {
 	}
 }
 
-// TestKindMatchesType locks the interned kinds to the ESTree type-name
-// strings: the n-gram bucket space (and therefore every trained model) is
-// keyed on the strings, and the zero-alloc hashing path reproduces them from
-// the kind table, so KindName(n.NodeKind()) must equal n.Type() exactly.
+// TestKindMatchesType locks each node's kind to its Go type: the kind's
+// ESTree name is the struct's name, so the one name table cannot drift from
+// the types it names.
 func TestKindMatchesType(t *testing.T) {
 	for _, n := range allNodes() {
-		if got, want := KindName(n.NodeKind()), n.Type(); got != want {
-			t.Errorf("KindName(%T.NodeKind()) = %q, want %q", n, got, want)
+		if got, want := n.NodeKind().String(), reflect.TypeOf(n).Elem().Name(); got != want {
+			t.Errorf("%T.NodeKind().String() = %q, want %q", n, got, want)
 		}
 		if n.NodeKind() == KindInvalid {
 			t.Errorf("%T has KindInvalid", n)
@@ -48,27 +50,20 @@ func TestKindMatchesType(t *testing.T) {
 	}
 }
 
-// TestKindTableComplete checks the name table, the inverse lookup, and that
-// every kind constant is claimed by exactly one node type.
+// TestKindTableComplete checks that every kind constant is claimed by
+// exactly one node type and that invalid kinds have no name.
 func TestKindTableComplete(t *testing.T) {
 	nodes := allNodes()
 	if got, want := len(nodes), int(KindCount)-1; got != want {
 		t.Fatalf("allNodes covers %d types, kind table has %d", got, want)
 	}
-	seen := make(map[Kind]string, len(nodes))
+	seen := make(map[Kind]Node, len(nodes))
 	for _, n := range nodes {
 		k := n.NodeKind()
 		if prev, dup := seen[k]; dup {
-			t.Errorf("kind %d claimed by both %s and %T", k, prev, n)
+			t.Errorf("kind %d claimed by both %T and %T", k, prev, n)
 		}
-		seen[k] = n.Type()
-		back, ok := KindForName(n.Type())
-		if !ok || back != k {
-			t.Errorf("KindForName(%q) = %d, %v; want %d, true", n.Type(), back, ok, k)
-		}
-	}
-	if _, ok := KindForName("NotANode"); ok {
-		t.Error("KindForName accepted an unknown name")
+		seen[k] = n
 	}
 	if KindInvalid.String() != "" || Kind(KindCount+7).String() != "" {
 		t.Error("invalid kinds must stringify to empty")

@@ -152,7 +152,7 @@ func (it *Interp) eval(n ast.Node, e *env) Value {
 	case *ast.SpreadElement:
 		it.unsupported("spread-position", "")
 	default:
-		it.unsupported("expression", n.Type())
+		it.unsupported("expression", n.NodeKind().String())
 	}
 	return undef
 }
@@ -205,7 +205,7 @@ func (it *Interp) evalObjectLiteral(x *ast.ObjectExpression, e *env) Value {
 				}
 			}
 		default:
-			it.unsupported("object-member", pn.Type())
+			it.unsupported("object-member", pn.NodeKind().String())
 		}
 	}
 	it.charge(len(obj.keys) + 1)
@@ -223,7 +223,7 @@ func (it *Interp) propertyKey(key ast.Node, computed bool, e *env) string {
 	case *ast.Literal:
 		return it.toString(it.evalLiteral(k))
 	}
-	it.unsupported("property-key", key.Type())
+	it.unsupported("property-key", key.NodeKind().String())
 	return ""
 }
 
@@ -361,7 +361,7 @@ func (it *Interp) evalRef(target ast.Node, e *env) Value {
 		obj := it.eval(t.Object, e)
 		return it.getMember(obj, it.propertyKey(t.Property, t.Computed, e))
 	}
-	it.unsupported("assignment-target", target.Type())
+	it.unsupported("assignment-target", target.NodeKind().String())
 	return undef
 }
 
@@ -571,7 +571,7 @@ func (it *Interp) assignTo(target ast.Node, v Value, e *env) {
 			it.assignTo(ast.NewIdentifier(name), val, e)
 		})
 	default:
-		it.unsupported("assignment-target", target.Type())
+		it.unsupported("assignment-target", target.NodeKind().String())
 	}
 }
 

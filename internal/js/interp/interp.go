@@ -540,9 +540,9 @@ func (it *Interp) execStatement(n ast.Node, e *env) completion {
 		it.unsupported("with", "")
 	case *ast.ImportDeclaration, *ast.ExportNamedDeclaration,
 		*ast.ExportDefaultDeclaration, *ast.ExportAllDeclaration:
-		it.unsupported("module-declaration", n.Type())
+		it.unsupported("module-declaration", n.NodeKind().String())
 	default:
-		it.unsupported("statement", n.Type())
+		it.unsupported("statement", n.NodeKind().String())
 	}
 	return normalCompletion
 }
@@ -630,7 +630,7 @@ func (it *Interp) bindPattern(pat ast.Node, v Value, e *env, bind func(name stri
 			}
 		}
 	default:
-		it.unsupported("pattern", pat.Type())
+		it.unsupported("pattern", pat.NodeKind().String())
 	}
 }
 
@@ -1000,7 +1000,7 @@ func (it *Interp) callFunction(fn *Object, this Value, args []Value) Value {
 	}
 	block, ok := info.body.(*ast.BlockStatement)
 	if !ok {
-		it.unsupported("function-body", info.body.Type())
+		it.unsupported("function-body", info.body.NodeKind().String())
 	}
 	c := it.runBody(block.Body, frame)
 	if c.kind == completionReturn {

@@ -53,7 +53,7 @@ func (p *parser) parseFunctionDeclarationNamed(isAsync, allowAnon bool) (*ast.Fu
 	} else if ok {
 		gen = true
 	}
-	fn := p.arena.NewFunctionDeclaration(ast.FunctionDeclaration{Generator: gen, Async: isAsync})
+	fn := ast.New(p.arena, ast.FunctionDeclaration{Generator: gen, Async: isAsync})
 	if p.at(lexer.Ident) || p.tok.Kind == lexer.Keyword && isContextualName(p.tok.StringValue) {
 		fn.ID = p.identHere(p.tok.StringValue)
 		if err := p.next(); err != nil {
@@ -87,7 +87,7 @@ func (p *parser) parseFunctionExpression(isAsync bool) (*ast.FunctionExpression,
 	} else if ok {
 		gen = true
 	}
-	fn := p.arena.NewFunctionExpression(ast.FunctionExpression{Generator: gen, Async: isAsync})
+	fn := ast.New(p.arena, ast.FunctionExpression{Generator: gen, Async: isAsync})
 	if p.at(lexer.Ident) {
 		fn.ID = p.identHere(p.tok.StringValue)
 		if err := p.next(); err != nil {
@@ -152,7 +152,7 @@ func (p *parser) parseParam() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewRestElement(ast.RestElement{Argument: arg}), start), nil
+		return finish(p, ast.New(p.arena, ast.RestElement{Argument: arg}), start), nil
 	}
 	target, err := p.parseBindingTarget()
 	if err != nil {
@@ -165,7 +165,7 @@ func (p *parser) parseParam() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewAssignmentPattern(ast.AssignmentPattern{Left: target, Right: dflt}), start), nil
+		return finish(p, ast.New(p.arena, ast.AssignmentPattern{Left: target, Right: dflt}), start), nil
 	}
 	return target, nil
 }
@@ -176,7 +176,7 @@ func (p *parser) parseBindingTarget() (ast.Node, error) {
 	start := p.tok.Start
 	switch {
 	case p.at(lexer.Ident), p.tok.Kind == lexer.Keyword && isContextualName(p.tok.StringValue):
-		id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.StringValue})
+		id := ast.New(p.arena, ast.Identifier{Name: p.tok.StringValue})
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -195,7 +195,7 @@ func (p *parser) parseArrayPattern() (ast.Node, error) {
 	if err := p.expectPunct("["); err != nil {
 		return nil, err
 	}
-	pat := p.arena.NewArrayPattern(ast.ArrayPattern{})
+	pat := ast.New(p.arena, ast.ArrayPattern{})
 	for !p.atPunct("]") {
 		if p.atPunct(",") {
 			pat.Elements = append(pat.Elements, nil) // hole
@@ -215,7 +215,7 @@ func (p *parser) parseArrayPattern() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			el = finish(p, p.arena.NewRestElement(ast.RestElement{Argument: arg}), eStart)
+			el = finish(p, ast.New(p.arena, ast.RestElement{Argument: arg}), eStart)
 		} else {
 			el, err = p.parseParam() // binding target with optional default
 			if err != nil {
@@ -240,7 +240,7 @@ func (p *parser) parseObjectPattern() (ast.Node, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	pat := p.arena.NewObjectPattern(ast.ObjectPattern{})
+	pat := ast.New(p.arena, ast.ObjectPattern{})
 	for !p.atPunct("}") {
 		if p.atPunct("...") {
 			eStart := p.tok.Start
@@ -251,7 +251,7 @@ func (p *parser) parseObjectPattern() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			pat.Properties = append(pat.Properties, finish(p, p.arena.NewRestElement(ast.RestElement{Argument: arg}), eStart))
+			pat.Properties = append(pat.Properties, finish(p, ast.New(p.arena, ast.RestElement{Argument: arg}), eStart))
 		} else {
 			prop, err := p.parsePatternProperty()
 			if err != nil {
@@ -273,7 +273,7 @@ func (p *parser) parseObjectPattern() (ast.Node, error) {
 
 func (p *parser) parsePatternProperty() (ast.Node, error) {
 	start := p.tok.Start
-	prop := p.arena.NewProperty(ast.Property{Kind: "init"})
+	prop := ast.New(p.arena, ast.Property{Kind: "init"})
 	key, computed, err := p.parsePropertyKey()
 	if err != nil {
 		return nil, err
@@ -302,7 +302,7 @@ func (p *parser) parsePatternProperty() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			ap := p.arena.NewAssignmentPattern(ast.AssignmentPattern{Left: p.cloneIdent(id), Right: dflt})
+			ap := ast.New(p.arena, ast.AssignmentPattern{Left: p.cloneIdent(id), Right: dflt})
 			finish(p, ap, start)
 			prop.Value = ap
 		} else {
@@ -317,7 +317,7 @@ func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
 	start := p.tok.Start
 	switch p.tok.Kind {
 	case lexer.Ident, lexer.Keyword:
-		id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.StringValue})
+		id := ast.New(p.arena, ast.Identifier{Name: p.tok.StringValue})
 		if err := p.next(); err != nil {
 			return nil, false, err
 		}
@@ -329,13 +329,13 @@ func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
 		}
 		return finish(p, lit, start), false, nil
 	case lexer.Number:
-		lit := p.arena.NewLiteral(ast.Literal{Kind: ast.LiteralNumber, Raw: p.tok.Lexeme, Number: p.tok.NumberValue})
+		lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralNumber, Raw: p.tok.Lexeme, Number: p.tok.NumberValue})
 		if err := p.next(); err != nil {
 			return nil, false, err
 		}
 		return finish(p, lit, start), false, nil
 	case lexer.PrivateIdent:
-		id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.StringValue})
+		id := ast.New(p.arena, ast.Identifier{Name: p.tok.StringValue})
 		if err := p.next(); err != nil {
 			return nil, false, err
 		}
@@ -368,7 +368,7 @@ func (p *parser) parseClassDeclaration() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewClassDeclaration(ast.ClassDeclaration{ID: id, SuperClass: super, Body: body}), start), nil
+	return finish(p, ast.New(p.arena, ast.ClassDeclaration{ID: id, SuperClass: super, Body: body}), start), nil
 }
 
 func (p *parser) parseClassExpression() (ast.Node, error) {
@@ -377,7 +377,7 @@ func (p *parser) parseClassExpression() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewClassExpression(ast.ClassExpression{ID: id, SuperClass: super, Body: body}), start), nil
+	return finish(p, ast.New(p.arena, ast.ClassExpression{ID: id, SuperClass: super, Body: body}), start), nil
 }
 
 func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, error) {
@@ -406,7 +406,7 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 	if err := p.expectPunct("{"); err != nil {
 		return nil, nil, nil, err
 	}
-	body := p.arena.NewClassBody(ast.ClassBody{})
+	body := ast.New(p.arena, ast.ClassBody{})
 	for !p.atPunct("}") {
 		if ok, err := p.eatPunct(";"); err != nil {
 			return nil, nil, nil, err
@@ -429,7 +429,7 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 // parseClassMember parses one method, accessor, or class field.
 func (p *parser) parseClassMember() (ast.Node, error) {
 	start := p.tok.Start
-	m := p.arena.NewMethodDefinition(ast.MethodDefinition{Kind: "method"})
+	m := ast.New(p.arena, ast.MethodDefinition{Kind: "method"})
 	if p.atIdentName("static") {
 		save := p.save()
 		if err := p.next(); err != nil {
@@ -481,7 +481,7 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 	// Class field: `key = value;`, `key;`, or key followed by `}` / a new
 	// member on the next line (ES2022 PropertyDefinition).
 	if m.Kind == "method" && !p.atPunct("(") {
-		field := p.arena.NewPropertyDefinition(ast.PropertyDefinition{Key: key, Computed: computed, Static: m.Static})
+		field := ast.New(p.arena, ast.PropertyDefinition{Key: key, Computed: computed, Static: m.Static})
 		if ok, err := p.eatPunct("="); err != nil {
 			return nil, err
 		} else if ok {
@@ -508,7 +508,7 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn := p.arena.NewFunctionExpression(ast.FunctionExpression{Params: params, Body: body, Generator: isGen, Async: isAsync})
+	fn := ast.New(p.arena, ast.FunctionExpression{Params: params, Body: body, Generator: isGen, Async: isAsync})
 	finish(p, fn, fStart)
 	m.Value = fn
 	finish(p, m, start)
@@ -530,7 +530,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 		p.restore(save)
 		return p.parseExpressionStatement()
 	}
-	decl := p.arena.NewImportDeclaration(ast.ImportDeclaration{})
+	decl := ast.New(p.arena, ast.ImportDeclaration{})
 	if p.at(lexer.String) {
 		// `import "mod";`
 		decl.Source = p.stringLitHere()
@@ -545,7 +545,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 	for {
 		switch {
 		case p.at(lexer.Ident):
-			spec := p.arena.NewImportDefaultSpecifier(ast.ImportDefaultSpecifier{Local: p.identHere(p.tok.StringValue)})
+			spec := ast.New(p.arena, ast.ImportDefaultSpecifier{Local: p.identHere(p.tok.StringValue)})
 			spec.SetRange(spec.Local.Range())
 			if err := p.next(); err != nil {
 				return nil, err
@@ -561,7 +561,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			spec := p.arena.NewImportNamespaceSpecifier(ast.ImportNamespaceSpecifier{Local: p.identHere(p.tok.StringValue)})
+			spec := ast.New(p.arena, ast.ImportNamespaceSpecifier{Local: p.identHere(p.tok.StringValue)})
 			spec.SetRange(spec.Local.Range())
 			if err := p.next(); err != nil {
 				return nil, err
@@ -586,7 +586,7 @@ func (p *parser) parseImport() (ast.Node, error) {
 						return nil, err
 					}
 				}
-				spec := p.arena.NewImportSpecifier(ast.ImportSpecifier{Imported: imported, Local: local})
+				spec := ast.New(p.arena, ast.ImportSpecifier{Imported: imported, Local: local})
 				spec.SetRange(byteRange(imported.Range().Start, local.Range().End))
 				decl.Specifiers = append(decl.Specifiers, spec)
 				if !p.atPunct("}") {
@@ -652,7 +652,7 @@ func (p *parser) parseExport() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewExportDefaultDeclaration(ast.ExportDefaultDeclaration{Declaration: decl}), start), nil
+		return finish(p, ast.New(p.arena, ast.ExportDefaultDeclaration{Declaration: decl}), start), nil
 	case p.atPunct("*"):
 		if err := p.next(); err != nil {
 			return nil, err
@@ -673,12 +673,12 @@ func (p *parser) parseExport() (ast.Node, error) {
 		if err := p.consumeSemicolon(); err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewExportAllDeclaration(ast.ExportAllDeclaration{Source: src}), start), nil
+		return finish(p, ast.New(p.arena, ast.ExportAllDeclaration{Source: src}), start), nil
 	case p.atPunct("{"):
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		decl := p.arena.NewExportNamedDeclaration(ast.ExportNamedDeclaration{})
+		decl := ast.New(p.arena, ast.ExportNamedDeclaration{})
 		for !p.atPunct("}") {
 			local := p.identHere(p.tok.StringValue)
 			if err := p.next(); err != nil {
@@ -694,7 +694,7 @@ func (p *parser) parseExport() (ast.Node, error) {
 					return nil, err
 				}
 			}
-			spec := p.arena.NewExportSpecifier(ast.ExportSpecifier{Local: local, Exported: exported})
+			spec := ast.New(p.arena, ast.ExportSpecifier{Local: local, Exported: exported})
 			spec.SetRange(byteRange(local.Range().Start, exported.Range().End))
 			decl.Specifiers = append(decl.Specifiers, spec)
 			if !p.atPunct("}") {
@@ -743,6 +743,6 @@ func (p *parser) parseExport() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewExportNamedDeclaration(ast.ExportNamedDeclaration{Declaration: inner}), start), nil
+		return finish(p, ast.New(p.arena, ast.ExportNamedDeclaration{Declaration: inner}), start), nil
 	}
 }

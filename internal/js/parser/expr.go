@@ -16,7 +16,7 @@ func (p *parser) parseExpression(noIn bool) (ast.Node, error) {
 	if !p.atPunct(",") {
 		return first, nil
 	}
-	seq := p.arena.NewSequenceExpression(ast.SequenceExpression{Expressions: []ast.Node{first}})
+	seq := ast.New(p.arena, ast.SequenceExpression{Expressions: []ast.Node{first}})
 	for p.atPunct(",") {
 		if err := p.next(); err != nil {
 			return nil, err
@@ -92,7 +92,7 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewAssignmentExpression(ast.AssignmentExpression{Operator: op, Left: target, Right: right}), start), nil
+		return finish(p, ast.New(p.arena, ast.AssignmentExpression{Operator: op, Left: target, Right: right}), start), nil
 	}
 	return left, nil
 }
@@ -102,7 +102,7 @@ func (p *parser) parseYield() (ast.Node, error) {
 	if err := p.expectKeyword("yield"); err != nil {
 		return nil, err
 	}
-	y := p.arena.NewYieldExpression(ast.YieldExpression{})
+	y := ast.New(p.arena, ast.YieldExpression{})
 	if p.atPunct("*") {
 		y.Delegate = true
 		if err := p.next(); err != nil {
@@ -219,7 +219,7 @@ func (p *parser) parseArrowBody(start int32, params []ast.Node, isAsync bool) (a
 	if err := p.expectPunct("=>"); err != nil {
 		return nil, err
 	}
-	arrow := p.arena.NewArrowFunctionExpression(ast.ArrowFunctionExpression{Params: params, Async: isAsync})
+	arrow := ast.New(p.arena, ast.ArrowFunctionExpression{Params: params, Async: isAsync})
 	if p.atPunct("{") {
 		body, err := p.parseBlock()
 		if err != nil {
@@ -260,7 +260,7 @@ func (p *parser) parseConditional(noIn bool) (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewConditionalExpression(ast.ConditionalExpression{Test: test, Consequent: cons, Alternate: alt}), start), nil
+	return finish(p, ast.New(p.arena, ast.ConditionalExpression{Test: test, Consequent: cons, Alternate: alt}), start), nil
 }
 
 // binaryPrec maps binary/logical operators to precedence levels. Higher binds
@@ -344,9 +344,9 @@ func (p *parser) parseBinary(minPrec int, noIn bool) (ast.Node, error) {
 			return nil, err
 		}
 		if isLogicalOp(op) {
-			left = finish(p, p.arena.NewLogicalExpression(ast.LogicalExpression{Operator: op, Left: left, Right: right}), start)
+			left = finish(p, ast.New(p.arena, ast.LogicalExpression{Operator: op, Left: left, Right: right}), start)
 		} else {
-			left = finish(p, p.arena.NewBinaryExpression(ast.BinaryExpression{Operator: op, Left: left, Right: right}), start)
+			left = finish(p, ast.New(p.arena, ast.BinaryExpression{Operator: op, Left: left, Right: right}), start)
 		}
 	}
 }
@@ -385,7 +385,7 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewUnaryExpression(ast.UnaryExpression{Operator: op, Argument: arg}), start), nil
+		return finish(p, ast.New(p.arena, ast.UnaryExpression{Operator: op, Argument: arg}), start), nil
 	case p.atKeyword("typeof"), p.atKeyword("void"), p.atKeyword("delete"):
 		op := p.tok.StringValue
 		if err := p.next(); err != nil {
@@ -395,7 +395,7 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewUnaryExpression(ast.UnaryExpression{Operator: op, Argument: arg}), start), nil
+		return finish(p, ast.New(p.arena, ast.UnaryExpression{Operator: op, Argument: arg}), start), nil
 	case p.atPunct("++"), p.atPunct("--"):
 		op := p.tok.Lexeme
 		if err := p.next(); err != nil {
@@ -405,7 +405,7 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewUpdateExpression(ast.UpdateExpression{Operator: op, Argument: arg, Prefix: true}), start), nil
+		return finish(p, ast.New(p.arena, ast.UpdateExpression{Operator: op, Argument: arg, Prefix: true}), start), nil
 	case p.atKeyword("await"):
 		if err := p.next(); err != nil {
 			return nil, err
@@ -414,7 +414,7 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewAwaitExpression(ast.AwaitExpression{Argument: arg}), start), nil
+		return finish(p, ast.New(p.arena, ast.AwaitExpression{Argument: arg}), start), nil
 	}
 
 	expr, err := p.parseLeftHandSide()
@@ -427,7 +427,7 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewUpdateExpression(ast.UpdateExpression{Operator: op, Argument: expr, Prefix: false}), start), nil
+		return finish(p, ast.New(p.arena, ast.UpdateExpression{Operator: op, Argument: expr, Prefix: false}), start), nil
 	}
 	return expr, nil
 }
@@ -464,9 +464,9 @@ func (p *parser) parseNew() (ast.Node, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		meta := p.arena.NewIdentifier(ast.Identifier{Name: "new"})
+		meta := ast.New(p.arena, ast.Identifier{Name: "new"})
 		meta.SetRange(byteRange(start, newEnd))
-		return finish(p, p.arena.NewMetaProperty(ast.MetaProperty{Meta: meta, Property: prop}), start), nil
+		return finish(p, ast.New(p.arena, ast.MetaProperty{Meta: meta, Property: prop}), start), nil
 	}
 	var callee ast.Node
 	var err error
@@ -483,7 +483,7 @@ func (p *parser) parseNew() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ne := p.arena.NewNewExpression(ast.NewExpression{Callee: callee})
+	ne := ast.New(p.arena, ast.NewExpression{Callee: callee})
 	if p.atPunct("(") {
 		args, err := p.parseArguments()
 		if err != nil {
@@ -510,7 +510,7 @@ func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			expr = finish(p, p.arena.NewMemberExpression(ast.MemberExpression{Object: expr, Property: prop}), start)
+			expr = finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop}), start)
 		case p.atPunct("["):
 			if err := p.next(); err != nil {
 				return nil, err
@@ -522,7 +522,7 @@ func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 			if err := p.expectPunct("]"); err != nil {
 				return nil, err
 			}
-			expr = finish(p, p.arena.NewMemberExpression(ast.MemberExpression{Object: expr, Property: prop, Computed: true}), start)
+			expr = finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop, Computed: true}), start)
 		default:
 			return expr, nil
 		}
@@ -550,7 +550,7 @@ func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				expr = finish(p, p.arena.NewCallExpression(ast.CallExpression{Callee: expr, Arguments: args, Optional: true}), start)
+				expr = finish(p, ast.New(p.arena, ast.CallExpression{Callee: expr, Arguments: args, Optional: true}), start)
 			case p.atPunct("["):
 				if err := p.next(); err != nil {
 					return nil, err
@@ -562,7 +562,7 @@ func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 				if err := p.expectPunct("]"); err != nil {
 					return nil, err
 				}
-				expr = finish(p, p.arena.NewMemberExpression(ast.MemberExpression{Object: expr, Property: prop, Computed: true, Optional: true}), start)
+				expr = finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop, Computed: true, Optional: true}), start)
 			default:
 				if p.tok.Kind != lexer.Ident && p.tok.Kind != lexer.Keyword && p.tok.Kind != lexer.PrivateIdent {
 					return nil, p.errorf("expected property name after ?., found %q", p.tok.Lexeme)
@@ -571,20 +571,20 @@ func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 				if err := p.next(); err != nil {
 					return nil, err
 				}
-				expr = finish(p, p.arena.NewMemberExpression(ast.MemberExpression{Object: expr, Property: prop, Optional: true}), start)
+				expr = finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop, Optional: true}), start)
 			}
 		case p.atPunct("("):
 			args, err := p.parseArguments()
 			if err != nil {
 				return nil, err
 			}
-			expr = finish(p, p.arena.NewCallExpression(ast.CallExpression{Callee: expr, Arguments: args}), start)
+			expr = finish(p, ast.New(p.arena, ast.CallExpression{Callee: expr, Arguments: args}), start)
 		case p.at(lexer.NoSubstTemplate), p.at(lexer.TemplateHead):
 			quasi, err := p.parseTemplateLiteral()
 			if err != nil {
 				return nil, err
 			}
-			expr = finish(p, p.arena.NewTaggedTemplateExpression(ast.TaggedTemplateExpression{Tag: expr, Quasi: quasi}), start)
+			expr = finish(p, ast.New(p.arena, ast.TaggedTemplateExpression{Tag: expr, Quasi: quasi}), start)
 		default:
 			return expr, nil
 		}
@@ -603,7 +603,7 @@ func (p *parser) parseMemberTailOne(expr ast.Node, start int32) (ast.Node, error
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewMemberExpression(ast.MemberExpression{Object: expr, Property: prop}), start), nil
+		return finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop}), start), nil
 	}
 	if err := p.next(); err != nil { // '['
 		return nil, err
@@ -615,7 +615,7 @@ func (p *parser) parseMemberTailOne(expr ast.Node, start int32) (ast.Node, error
 	if err := p.expectPunct("]"); err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewMemberExpression(ast.MemberExpression{Object: expr, Property: prop, Computed: true}), start), nil
+	return finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop, Computed: true}), start), nil
 }
 
 func (p *parser) parseArguments() ([]ast.Node, error) {
@@ -633,7 +633,7 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			args = append(args, finish(p, p.arena.NewSpreadElement(ast.SpreadElement{Argument: arg}), sStart))
+			args = append(args, finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
 		} else {
 			arg, err := p.parseAssignment(false)
 			if err != nil {
@@ -677,25 +677,25 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 			}
 			p.restore(save)
 		}
-		id := p.arena.NewIdentifier(ast.Identifier{Name: name})
+		id := ast.New(p.arena, ast.Identifier{Name: name})
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return finish(p, id, start), nil
 	case lexer.Number:
-		lit := p.arena.NewLiteral(ast.Literal{Kind: ast.LiteralNumber, Raw: p.tok.Lexeme, Number: p.tok.NumberValue})
+		lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralNumber, Raw: p.tok.Lexeme, Number: p.tok.NumberValue})
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return finish(p, lit, start), nil
 	case lexer.String:
-		lit := p.arena.NewLiteral(ast.Literal{Kind: ast.LiteralString, Raw: p.tok.Lexeme, String: p.tok.StringValue})
+		lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralString, Raw: p.tok.Lexeme, String: p.tok.StringValue})
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return finish(p, lit, start), nil
 	case lexer.Regex:
-		lit := p.arena.NewLiteral(ast.Literal{Kind: ast.LiteralRegExp, Raw: p.tok.Lexeme})
+		lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralRegExp, Raw: p.tok.Lexeme})
 		lit.Regex.Pattern = p.tok.RegexPattern
 		lit.Regex.Flags = p.tok.RegexFlags
 		if err := p.next(); err != nil {
@@ -706,7 +706,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 		return p.parseTemplateLiteral()
 	case lexer.PrivateIdent:
 		// `#field in obj` (ES2022): treat as identifier reference.
-		id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.StringValue})
+		id := ast.New(p.arena, ast.Identifier{Name: p.tok.StringValue})
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -717,20 +717,20 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			return finish(p, p.arena.NewThisExpression(ast.ThisExpression{}), start), nil
+			return finish(p, ast.New(p.arena, ast.ThisExpression{}), start), nil
 		case "super":
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			return finish(p, p.arena.NewSuper(ast.Super{}), start), nil
+			return finish(p, ast.New(p.arena, ast.Super{}), start), nil
 		case "true", "false":
-			lit := p.arena.NewLiteral(ast.Literal{Kind: ast.LiteralBoolean, Raw: p.tok.StringValue, Bool: p.tok.StringValue == "true"})
+			lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralBoolean, Raw: p.tok.StringValue, Bool: p.tok.StringValue == "true"})
 			if err := p.next(); err != nil {
 				return nil, err
 			}
 			return finish(p, lit, start), nil
 		case "null":
-			lit := p.arena.NewLiteral(ast.Literal{Kind: ast.LiteralNull, Raw: "null"})
+			lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralNull, Raw: "null"})
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -755,14 +755,14 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 				if err := p.next(); err != nil {
 					return nil, err
 				}
-				meta := p.arena.NewIdentifier(ast.Identifier{Name: "import"})
+				meta := ast.New(p.arena, ast.Identifier{Name: "import"})
 				meta.SetRange(byteRange(start, importEnd))
-				return finish(p, p.arena.NewMetaProperty(ast.MetaProperty{Meta: meta, Property: prop}), start), nil
+				return finish(p, ast.New(p.arena, ast.MetaProperty{Meta: meta, Property: prop}), start), nil
 			}
-			return finish(p, p.arena.NewIdentifier(ast.Identifier{Name: "import"}), start), nil
+			return finish(p, ast.New(p.arena, ast.Identifier{Name: "import"}), start), nil
 		case "let", "yield", "await":
 			// Sloppy-mode identifier usage.
-			id := p.arena.NewIdentifier(ast.Identifier{Name: p.tok.StringValue})
+			id := ast.New(p.arena, ast.Identifier{Name: p.tok.StringValue})
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -804,7 +804,7 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 	if err := p.expectPunct("["); err != nil {
 		return nil, err
 	}
-	arr := p.arena.NewArrayExpression(ast.ArrayExpression{})
+	arr := ast.New(p.arena, ast.ArrayExpression{})
 	for !p.atPunct("]") {
 		if p.atPunct(",") {
 			arr.Elements = append(arr.Elements, nil) // elision
@@ -822,7 +822,7 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			arr.Elements = append(arr.Elements, finish(p, p.arena.NewSpreadElement(ast.SpreadElement{Argument: arg}), sStart))
+			arr.Elements = append(arr.Elements, finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
 		} else {
 			el, err := p.parseAssignment(false)
 			if err != nil {
@@ -847,7 +847,7 @@ func (p *parser) parseObjectLiteral() (ast.Node, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	obj := p.arena.NewObjectExpression(ast.ObjectExpression{})
+	obj := ast.New(p.arena, ast.ObjectExpression{})
 	for !p.atPunct("}") {
 		if p.atPunct("...") {
 			sStart := p.tok.Start
@@ -858,7 +858,7 @@ func (p *parser) parseObjectLiteral() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			obj.Properties = append(obj.Properties, finish(p, p.arena.NewSpreadElement(ast.SpreadElement{Argument: arg}), sStart))
+			obj.Properties = append(obj.Properties, finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
 		} else {
 			prop, err := p.parseObjectProperty()
 			if err != nil {
@@ -880,7 +880,7 @@ func (p *parser) parseObjectLiteral() (ast.Node, error) {
 
 func (p *parser) parseObjectProperty() (ast.Node, error) {
 	start := p.tok.Start
-	prop := p.arena.NewProperty(ast.Property{Kind: "init"})
+	prop := ast.New(p.arena, ast.Property{Kind: "init"})
 
 	isAsync := false
 	isGen := false
@@ -933,7 +933,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		fn := p.arena.NewFunctionExpression(ast.FunctionExpression{Params: params, Body: body, Generator: isGen, Async: isAsync})
+		fn := ast.New(p.arena, ast.FunctionExpression{Params: params, Body: body, Generator: isGen, Async: isAsync})
 		finish(p, fn, fStart)
 		prop.Value = fn
 		if prop.Kind == "init" {
@@ -963,7 +963,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			ap := p.arena.NewAssignmentPattern(ast.AssignmentPattern{Left: p.cloneIdent(id), Right: dflt})
+			ap := ast.New(p.arena, ast.AssignmentPattern{Left: p.cloneIdent(id), Right: dflt})
 			finish(p, ap, start)
 			prop.Value = ap
 		} else {
@@ -975,9 +975,9 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 
 func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 	start := p.tok.Start
-	tpl := p.arena.NewTemplateLiteral(ast.TemplateLiteral{})
+	tpl := ast.New(p.arena, ast.TemplateLiteral{})
 	if p.at(lexer.NoSubstTemplate) {
-		el := p.arena.NewTemplateElement(ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue, Tail: true})
+		el := ast.New(p.arena, ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue, Tail: true})
 		el.SetRange(p.tokRange())
 		if err := p.next(); err != nil {
 			return nil, err
@@ -989,7 +989,7 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 	if !p.at(lexer.TemplateHead) {
 		return nil, p.errorf("expected template literal")
 	}
-	head := p.arena.NewTemplateElement(ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue})
+	head := ast.New(p.arena, ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue})
 	head.SetRange(p.tokRange())
 	tpl.Quasis = append(tpl.Quasis, head)
 	if err := p.next(); err != nil {
@@ -1011,7 +1011,7 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		// Replace the '}' with the rescanned template chunk and fetch the
 		// token after it.
 		p.tok = tok
-		el := p.arena.NewTemplateElement(ast.TemplateElement{Raw: tok.Lexeme, Cooked: tok.StringValue, Tail: tok.Kind == lexer.TemplateTail})
+		el := ast.New(p.arena, ast.TemplateElement{Raw: tok.Lexeme, Cooked: tok.StringValue, Tail: tok.Kind == lexer.TemplateTail})
 		el.SetRange(byteRange(tok.Start, tok.End))
 		tpl.Quasis = append(tpl.Quasis, el)
 		isTail := tok.Kind == lexer.TemplateTail
@@ -1035,7 +1035,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 		*ast.AssignmentPattern, *ast.RestElement:
 		return expr, nil
 	case *ast.ArrayExpression:
-		pat := p.arena.NewArrayPattern(ast.ArrayPattern{})
+		pat := ast.New(p.arena, ast.ArrayPattern{})
 		pat.SetRange(v.Range())
 		for i, el := range v.Elements {
 			if el == nil {
@@ -1050,7 +1050,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				rest := p.arena.NewRestElement(ast.RestElement{Argument: arg})
+				rest := ast.New(p.arena, ast.RestElement{Argument: arg})
 				rest.SetRange(sp.Range())
 				pat.Elements = append(pat.Elements, rest)
 				continue
@@ -1063,7 +1063,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 		}
 		return pat, nil
 	case *ast.ObjectExpression:
-		pat := p.arena.NewObjectPattern(ast.ObjectPattern{})
+		pat := ast.New(p.arena, ast.ObjectPattern{})
 		pat.SetRange(v.Range())
 		for _, prop := range v.Properties {
 			switch pv := prop.(type) {
@@ -1072,7 +1072,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				rest := p.arena.NewRestElement(ast.RestElement{Argument: arg})
+				rest := ast.New(p.arena, ast.RestElement{Argument: arg})
 				rest.SetRange(pv.Range())
 				pat.Properties = append(pat.Properties, rest)
 			case *ast.Property:
@@ -1080,7 +1080,7 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				np := p.arena.NewProperty(ast.Property{
+				np := ast.New(p.arena, ast.Property{
 					Key: pv.Key, Value: val, Kind: "init",
 					Computed: pv.Computed, Shorthand: pv.Shorthand,
 				})
@@ -1099,10 +1099,10 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		ap := p.arena.NewAssignmentPattern(ast.AssignmentPattern{Left: left, Right: v.Right})
+		ap := ast.New(p.arena, ast.AssignmentPattern{Left: left, Right: v.Right})
 		ap.SetRange(v.Range())
 		return ap, nil
 	default:
-		return nil, p.errorf("invalid assignment target %s", expr.Type())
+		return nil, p.errorf("invalid assignment target %s", expr.NodeKind().String())
 	}
 }

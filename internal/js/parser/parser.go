@@ -352,7 +352,7 @@ func (p *parser) lastEnd() int32 {
 // called before that token is consumed, so the rules and diagnostics always
 // see a real source range (position fidelity: no zero-span nodes).
 func (p *parser) identHere(name string) *ast.Identifier {
-	id := p.arena.NewIdentifier(ast.Identifier{Name: name})
+	id := ast.New(p.arena, ast.Identifier{Name: name})
 	id.SetRange(p.tokRange())
 	return id
 }
@@ -360,7 +360,7 @@ func (p *parser) identHere(name string) *ast.Identifier {
 // stringLitHere builds a string Literal spanning the current token. Like
 // identHere, it must be called before the token is consumed.
 func (p *parser) stringLitHere() *ast.Literal {
-	lit := p.arena.NewLiteral(ast.Literal{Kind: ast.LiteralString, Raw: p.tok.Lexeme, String: p.tok.StringValue})
+	lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralString, Raw: p.tok.Lexeme, String: p.tok.StringValue})
 	lit.SetRange(p.tokRange())
 	return lit
 }
@@ -368,7 +368,7 @@ func (p *parser) stringLitHere() *ast.Literal {
 // cloneIdent copies an identifier including its span (used where patterns
 // reuse a parsed name, e.g. shorthand object properties).
 func (p *parser) cloneIdent(id *ast.Identifier) *ast.Identifier {
-	c := p.arena.NewIdentifier(ast.Identifier{Name: id.Name})
+	c := ast.New(p.arena, ast.Identifier{Name: id.Name})
 	c.SetRange(id.Range())
 	return c
 }
@@ -379,7 +379,7 @@ func (p *parser) cloneIdent(id *ast.Identifier) *ast.Identifier {
 
 func (p *parser) parseProgram() (*ast.Program, error) {
 	start := p.tok.Start
-	prog := p.arena.NewProgram(ast.Program{})
+	prog := ast.New(p.arena, ast.Program{})
 	body, err := p.parseStatementList(true)
 	if err != nil {
 		return nil, err
@@ -436,7 +436,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewEmptyStatement(ast.EmptyStatement{}), start), nil
+		return finish(p, ast.New(p.arena, ast.EmptyStatement{}), start), nil
 	case p.atKeyword("var"), p.atKeyword("let"), p.atKeyword("const"):
 		decl, err := p.parseVariableDeclaration(true)
 		if err != nil {
@@ -474,7 +474,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 		if err := p.consumeSemicolon(); err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewDebuggerStatement(ast.DebuggerStatement{}), start), nil
+		return finish(p, ast.New(p.arena, ast.DebuggerStatement{}), start), nil
 	case p.atKeyword("with"):
 		return p.parseWith()
 	case p.atKeyword("import"):
@@ -512,7 +512,7 @@ func (p *parser) parseStatement() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			lbl := p.arena.NewLabeledStatement(ast.LabeledStatement{Label: name, Body: body})
+			lbl := ast.New(p.arena, ast.LabeledStatement{Label: name, Body: body})
 			return finish(p, lbl, start), nil
 		}
 		p.restore(save)
@@ -534,7 +534,7 @@ func (p *parser) parseBlock() (*ast.BlockStatement, error) {
 	if err := p.expectPunct("}"); err != nil {
 		return nil, err
 	}
-	blk := p.arena.NewBlockStatement(ast.BlockStatement{Body: body})
+	blk := ast.New(p.arena, ast.BlockStatement{Body: body})
 	finish(p, blk, start)
 	return blk, nil
 }
@@ -548,7 +548,7 @@ func (p *parser) parseExpressionStatement() (ast.Node, error) {
 	if err := p.consumeSemicolon(); err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewExpressionStatement(ast.ExpressionStatement{Expression: expr}), start), nil
+	return finish(p, ast.New(p.arena, ast.ExpressionStatement{Expression: expr}), start), nil
 }
 
 // consumeSemicolon applies automatic semicolon insertion.
@@ -568,14 +568,14 @@ func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclar
 	if err := p.next(); err != nil {
 		return nil, err
 	}
-	decl := p.arena.NewVariableDeclaration(ast.VariableDeclaration{Kind: kind})
+	decl := ast.New(p.arena, ast.VariableDeclaration{Kind: kind})
 	for {
 		dStart := p.tok.Start
 		id, err := p.parseBindingTarget()
 		if err != nil {
 			return nil, err
 		}
-		d := p.arena.NewVariableDeclarator(ast.VariableDeclarator{ID: id})
+		d := ast.New(p.arena, ast.VariableDeclarator{ID: id})
 		if ok, err := p.eatPunct("="); err != nil {
 			return nil, err
 		} else if ok {
@@ -621,7 +621,7 @@ func (p *parser) parseIf() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := p.arena.NewIfStatement(ast.IfStatement{Test: test, Consequent: cons})
+	stmt := ast.New(p.arena, ast.IfStatement{Test: test, Consequent: cons})
 	if p.atKeyword("else") {
 		if err := p.next(); err != nil {
 			return nil, err
@@ -654,7 +654,7 @@ func (p *parser) parseWhile() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewWhileStatement(ast.WhileStatement{Test: test, Body: body}), start), nil
+	return finish(p, ast.New(p.arena, ast.WhileStatement{Test: test, Body: body}), start), nil
 }
 
 func (p *parser) parseDoWhile() (ast.Node, error) {
@@ -683,7 +683,7 @@ func (p *parser) parseDoWhile() (ast.Node, error) {
 	if _, err := p.eatPunct(";"); err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewDoWhileStatement(ast.DoWhileStatement{Body: body, Test: test}), start), nil
+	return finish(p, ast.New(p.arena, ast.DoWhileStatement{Body: body, Test: test}), start), nil
 }
 
 func (p *parser) parseFor() (ast.Node, error) {
@@ -739,7 +739,7 @@ func (p *parser) parseFor() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewForInStatement(ast.ForInStatement{Left: left, Right: right, Body: body}), start), nil
+		return finish(p, ast.New(p.arena, ast.ForInStatement{Left: left, Right: right, Body: body}), start), nil
 	}
 	if p.atIdentName("of") {
 		if err := p.next(); err != nil {
@@ -760,7 +760,7 @@ func (p *parser) parseFor() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, p.arena.NewForOfStatement(ast.ForOfStatement{Left: left, Right: right, Body: body, Await: isAwait}), start), nil
+		return finish(p, ast.New(p.arena, ast.ForOfStatement{Left: left, Right: right, Body: body, Await: isAwait}), start), nil
 	}
 
 	if err := p.expectPunct(";"); err != nil {
@@ -791,7 +791,7 @@ func (p *parser) parseFor() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewForStatement(ast.ForStatement{Init: init, Test: test, Update: update, Body: body}), start), nil
+	return finish(p, ast.New(p.arena, ast.ForStatement{Init: init, Test: test, Update: update, Body: body}), start), nil
 }
 
 // parseForDeclaration parses `var/let/const target [= init]` without
@@ -802,14 +802,14 @@ func (p *parser) parseForDeclaration() (*ast.VariableDeclaration, error) {
 	if err := p.next(); err != nil {
 		return nil, err
 	}
-	decl := p.arena.NewVariableDeclaration(ast.VariableDeclaration{Kind: kind})
+	decl := ast.New(p.arena, ast.VariableDeclaration{Kind: kind})
 	for {
 		dStart := p.tok.Start
 		id, err := p.parseBindingTarget()
 		if err != nil {
 			return nil, err
 		}
-		d := p.arena.NewVariableDeclarator(ast.VariableDeclarator{ID: id})
+		d := ast.New(p.arena, ast.VariableDeclarator{ID: id})
 		if ok, err := p.eatPunct("="); err != nil {
 			return nil, err
 		} else if ok {
@@ -860,10 +860,10 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	sw := p.arena.NewSwitchStatement(ast.SwitchStatement{Discriminant: disc})
+	sw := ast.New(p.arena, ast.SwitchStatement{Discriminant: disc})
 	for !p.atPunct("}") {
 		cStart := p.tok.Start
-		c := p.arena.NewSwitchCase(ast.SwitchCase{})
+		c := ast.New(p.arena, ast.SwitchCase{})
 		if p.atKeyword("case") {
 			if err := p.next(); err != nil {
 				return nil, err
@@ -904,7 +904,7 @@ func (p *parser) parseReturn() (ast.Node, error) {
 	if err := p.expectKeyword("return"); err != nil {
 		return nil, err
 	}
-	ret := p.arena.NewReturnStatement(ast.ReturnStatement{})
+	ret := ast.New(p.arena, ast.ReturnStatement{})
 	// Restricted production: a newline after `return` terminates it.
 	if !p.tok.NewlineBefore && !p.atPunct(";") && !p.atPunct("}") && !p.at(lexer.EOF) {
 		arg, err := p.parseExpression(false)
@@ -934,7 +934,7 @@ func (p *parser) parseThrow() (ast.Node, error) {
 	if err := p.consumeSemicolon(); err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewThrowStatement(ast.ThrowStatement{Argument: arg}), start), nil
+	return finish(p, ast.New(p.arena, ast.ThrowStatement{Argument: arg}), start), nil
 }
 
 func (p *parser) parseTry() (ast.Node, error) {
@@ -946,13 +946,13 @@ func (p *parser) parseTry() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := p.arena.NewTryStatement(ast.TryStatement{Block: block})
+	stmt := ast.New(p.arena, ast.TryStatement{Block: block})
 	if p.atKeyword("catch") {
 		cStart := p.tok.Start
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		clause := p.arena.NewCatchClause(ast.CatchClause{})
+		clause := ast.New(p.arena, ast.CatchClause{})
 		if ok, err := p.eatPunct("("); err != nil {
 			return nil, err
 		} else if ok {
@@ -1005,9 +1005,9 @@ func (p *parser) parseBreakContinue(isBreak bool) (ast.Node, error) {
 		return nil, err
 	}
 	if isBreak {
-		return finish(p, p.arena.NewBreakStatement(ast.BreakStatement{Label: label}), start), nil
+		return finish(p, ast.New(p.arena, ast.BreakStatement{Label: label}), start), nil
 	}
-	return finish(p, p.arena.NewContinueStatement(ast.ContinueStatement{Label: label}), start), nil
+	return finish(p, ast.New(p.arena, ast.ContinueStatement{Label: label}), start), nil
 }
 
 func (p *parser) parseWith() (ast.Node, error) {
@@ -1029,5 +1029,5 @@ func (p *parser) parseWith() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(p, p.arena.NewWithStatement(ast.WithStatement{Object: obj, Body: body}), start), nil
+	return finish(p, ast.New(p.arena, ast.WithStatement{Object: obj, Body: body}), start), nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/js/ast"
 	"repro/internal/js/printer"
-	"repro/internal/js/walker"
 )
 
 // roundTrip parses src, prints it, reparses the output, and checks that the
@@ -174,7 +173,7 @@ func TestASIRestrictedReturn(t *testing.T) {
 	fn := prog.Body[0].(*ast.FunctionDeclaration)
 	ret, ok := fn.Body.Body[0].(*ast.ReturnStatement)
 	if !ok {
-		t.Fatalf("expected ReturnStatement, got %s", fn.Body.Body[0].Type())
+		t.Fatalf("expected ReturnStatement, got %s", fn.Body.Body[0].NodeKind())
 	}
 	if ret.Argument != nil {
 		t.Fatal("newline after return must terminate the statement")
@@ -239,7 +238,7 @@ func TestNodeShapes(t *testing.T) {
 		t.Fatalf("arguments = %d", len(call.Arguments))
 	}
 	if _, ok := call.Arguments[0].(*ast.ArrowFunctionExpression); !ok {
-		t.Fatalf("first arg = %s", call.Arguments[0].Type())
+		t.Fatalf("first arg = %s", call.Arguments[0].NodeKind())
 	}
 }
 
@@ -247,7 +246,7 @@ func TestTernaryVsOptionalChain(t *testing.T) {
 	prog := roundTrip(t, `x = a?.5:b;`)
 	expr := prog.Body[0].(*ast.ExpressionStatement).Expression.(*ast.AssignmentExpression)
 	if _, ok := expr.Right.(*ast.ConditionalExpression); !ok {
-		t.Fatalf("a?.5:b must be a ternary, got %s", expr.Right.Type())
+		t.Fatalf("a?.5:b must be a ternary, got %s", expr.Right.NodeKind())
 	}
 }
 
@@ -300,10 +299,10 @@ func TestSourceLenGuard(t *testing.T) {
 
 func TestSpansMonotonic(t *testing.T) {
 	prog := roundTrip(t, "function f(a) {\n  return a * 2;\n}\nvar r = f(21);")
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		r := n.Range()
 		if r.End < r.Start {
-			t.Fatalf("%s: end < start (%d < %d)", n.Type(), r.End, r.Start)
+			t.Fatalf("%s: end < start (%d < %d)", n.NodeKind(), r.End, r.Start)
 		}
 		return true
 	})

@@ -21,7 +21,6 @@ import (
 	"repro/internal/js/parser"
 	"repro/internal/js/parser/refspec"
 	"repro/internal/js/printer"
-	"repro/internal/js/walker"
 	"repro/internal/transform"
 )
 
@@ -114,7 +113,7 @@ type nodeRecord struct {
 
 func stream(prog *ast.Program) []nodeRecord {
 	var out []nodeRecord
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		out = append(out, nodeRecord{n.NodeKind(), n.Range()})
 		return true
 	})

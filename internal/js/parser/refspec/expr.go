@@ -1059,6 +1059,6 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 		ap.SetRange(v.Range())
 		return ap, nil
 	default:
-		return nil, p.errorf("invalid assignment target %s", expr.Type())
+		return nil, p.errorf("invalid assignment target %s", expr.NodeKind().String())
 	}
 }

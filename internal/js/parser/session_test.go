@@ -1,5 +1,5 @@
 // External test package: the poisoning tests compare full Results through
-// the printer and walker, which an in-package test could also do, but the
+// the printer and ast.Inspect, which an in-package test could also do, but the
 // external package proves the exported Session surface alone is enough.
 package parser_test
 
@@ -10,7 +10,6 @@ import (
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
 	"repro/internal/js/printer"
-	"repro/internal/js/walker"
 	"repro/internal/obs"
 )
 
@@ -30,7 +29,7 @@ var arr = [1, 2, 3].map((x) => x + 1);
 
 func streamOf(prog *ast.Program) []ast.Kind {
 	var out []ast.Kind
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		out = append(out, n.NodeKind())
 		return true
 	})

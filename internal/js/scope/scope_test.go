@@ -297,7 +297,7 @@ func TestInitTracked(t *testing.T) {
 		t.Fatal("init must be tracked")
 	}
 	if _, ok := b.Init.(*ast.ArrayExpression); !ok {
-		t.Fatalf("init type = %s", b.Init.Type())
+		t.Fatalf("init type = %s", b.Init.NodeKind())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/walker"
 )
 
 // injectDeadCode inserts irrelevant instructions: never-taken branches
@@ -32,7 +31,7 @@ func injectDeadCode(prog *ast.Program, rng *rand.Rand) {
 	// Collect insertion targets up front so junk inserted along the way is
 	// never itself a target (which would cascade).
 	var targets []*ast.BlockStatement
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FunctionDeclaration:
 			if v.Body != nil {
@@ -59,7 +58,7 @@ func injectDeadCode(prog *ast.Program, rng *rand.Rand) {
 // function bodies would make the tree cyclic.
 func collectCloneableStatements(prog *ast.Program) []ast.Node {
 	var pool []ast.Node
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		switch n.(type) {
 		case *ast.ExpressionStatement, *ast.ReturnStatement:
 			if !containsFunction(n) {
@@ -76,7 +75,7 @@ func collectCloneableStatements(prog *ast.Program) []ast.Node {
 
 func containsFunction(n ast.Node) bool {
 	found := false
-	walker.Walk(n, func(c ast.Node, _ int) bool {
+	ast.Inspect(n, func(c ast.Node) bool {
 		if ast.IsFunction(c) {
 			found = true
 			return false

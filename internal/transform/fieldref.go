@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/walker"
 )
 
 // FieldReference is the "obfuscated field reference" technique the paper
@@ -18,7 +17,7 @@ const FieldReference Technique = 100
 // applyFieldReference rewrites dot accesses into bracket notation, and with
 // probability 1/3 hides the property string behind a concatenation.
 func applyFieldReference(prog *ast.Program, rng *rand.Rand) {
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		m, ok := n.(*ast.MemberExpression)
 		if !ok || m.Computed || m.Optional {
 			return n

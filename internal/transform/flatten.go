@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/walker"
 )
 
 // flattenControlFlow applies the obfuscator.io control-flow flattening
@@ -26,7 +25,7 @@ import (
 //	}
 func flattenControlFlow(prog *ast.Program, rng *rand.Rand) {
 	prog.Body = flattenList(prog.Body, rng)
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FunctionDeclaration:
 			if v.Body != nil {
@@ -163,7 +162,7 @@ func flattenable(n ast.Node) bool {
 // declaration whose scope would change.
 func containsLocalBreakContinueOrDecl(n ast.Node) bool {
 	found := false
-	walker.Walk(n, func(c ast.Node, _ int) bool {
+	ast.Inspect(n, func(c ast.Node) bool {
 		switch c.(type) {
 		case *ast.FunctionDeclaration, *ast.FunctionExpression, *ast.ArrowFunctionExpression:
 			return false // their internals are isolated

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/walker"
 )
 
 // applyGlobalArray hoists every string literal into one global array and
@@ -27,7 +26,7 @@ func applyGlobalArray(prog *ast.Program, rng *rand.Rand) {
 	var table []string
 	index := make(map[string]int)
 
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		lit, ok := n.(*ast.Literal)
 		if !ok || lit.Kind != ast.LiteralString || skip[lit] {
 			return n

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/walker"
 )
 
 // minifySimple performs the basic techniques of the JavaScript Minifier tool
@@ -34,7 +33,7 @@ func minifyAdvanced(prog *ast.Program, rng *rand.Rand) {
 // removeUnreachable drops statements that follow a return/throw/break/
 // continue in the same block.
 func removeUnreachable(prog *ast.Program) {
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.BlockStatement:
 			v.Body = truncateAfterJump(v.Body)
@@ -65,7 +64,7 @@ func truncateAfterJump(body []ast.Node) []ast.Node {
 
 // foldConstants evaluates constant numeric and string expressions.
 func foldConstants(prog *ast.Program) {
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		switch v := n.(type) {
 		case *ast.BinaryExpression:
 			if folded := foldBinary(v); folded != nil {
@@ -184,7 +183,7 @@ func foldUnary(v *ast.UnaryExpression) ast.Node {
 // classic closure-compiler shortcuts.
 func shortenLiterals(prog *ast.Program) {
 	skip := literalsToKeep(prog)
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		switch v := n.(type) {
 		case *ast.Literal:
 			if v.Kind == ast.LiteralBoolean && !skip[v] {
@@ -210,7 +209,7 @@ func shortenLiterals(prog *ast.Program) {
 //	if (c) a();             →  c && a();
 //	if (c) x = 1; else x = 2; → x = c ? 1 : 2;
 func convertIfs(prog *ast.Program) {
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		v, ok := n.(*ast.IfStatement)
 		if !ok {
 			return n
@@ -273,7 +272,7 @@ func sameSimpleTarget(a, b ast.Node) bool {
 
 // removeDeadBranches eliminates branches with constant tests.
 func removeDeadBranches(prog *ast.Program) {
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		v, ok := n.(*ast.IfStatement)
 		if !ok {
 			return n
@@ -309,7 +308,7 @@ func mergeVarRuns(prog *ast.Program) {
 		}
 		return out
 	}
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.Program:
 			v.Body = mergeIn(v.Body)

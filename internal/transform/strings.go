@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/walker"
 )
 
 // obfuscateStrings rewrites string literals so they no longer appear in
@@ -16,7 +15,7 @@ import (
 // encodings), per Section II-B.
 func obfuscateStrings(prog *ast.Program, rng *rand.Rand) {
 	skip := literalsToKeep(prog)
-	walker.Rewrite(prog, func(n ast.Node) ast.Node {
+	ast.Rewrite(prog, func(n ast.Node) ast.Node {
 		lit, ok := n.(*ast.Literal)
 		if !ok || lit.Kind != ast.LiteralString || skip[lit] {
 			return n
@@ -59,7 +58,7 @@ func literalsToKeep(prog *ast.Program) map[*ast.Literal]bool {
 			skip[lit] = true
 		}
 	}
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.Property:
 			if !v.Computed {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/walker"
 )
 
 const sample = `
@@ -119,7 +118,7 @@ func TestGlobalArrayHoistsStrings(t *testing.T) {
 	// First non-directive statement must be the array declaration.
 	decl, ok := prog.Body[0].(*ast.VariableDeclaration)
 	if !ok {
-		t.Fatalf("first statement = %s, want VariableDeclaration", prog.Body[0].Type())
+		t.Fatalf("first statement = %s, want VariableDeclaration", prog.Body[0].NodeKind())
 	}
 	arr, ok := decl.Declarations[0].Init.(*ast.ArrayExpression)
 	if !ok {
@@ -161,7 +160,7 @@ func TestControlFlowFlatteningAddsDispatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hasDispatcher bool
-	walker.Walk(prog, func(n ast.Node, _ int) bool {
+	ast.Inspect(prog, func(n ast.Node) bool {
 		if w, ok := n.(*ast.WhileStatement); ok {
 			if lit, ok := w.Test.(*ast.Literal); ok && lit.Kind == ast.LiteralBoolean && lit.Bool {
 				if blk, ok := w.Body.(*ast.BlockStatement); ok && len(blk.Body) >= 1 {
