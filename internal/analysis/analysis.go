@@ -6,10 +6,10 @@
 // opaque, these diagnostics are the explainable counterpart: each one names
 // a rule, a technique, a source range, and a machine-readable evidence map.
 //
-// The engine performs exactly ONE ast.Inspect pass over the AST regardless of how
-// many rules are registered: every rule contributes a visit callback that is
-// dispatched by node type (or for every node), so adding rules never adds
-// traversals. An Engine is immutable after construction and therefore safe
+// The engine performs exactly ONE ast.Inspect pass over the AST regardless
+// of how many rules are registered: every rule contributes a visit callback
+// that is dispatched by node kind (or for every node), so adding rules never
+// adds traversals. An Engine is immutable after construction and therefore safe
 // for concurrent Run calls from corpus workers.
 package analysis
 

@@ -46,17 +46,17 @@ const (
 	arenaChunkMax = 1024
 )
 
-// arenaAlloc returns a node slot from the slab, growing it when full. The
+// arenaAlloc returns a node slot from the chunk, growing it when full. The
 // amortized cost is one bump and one bounds check per node.
 //
 //jslint:hotpath
-func arenaAlloc[T any](count *int, slab *[]T) *T {
-	buf := *slab
+func arenaAlloc[T any](count *int, chunk *[]T) *T {
+	buf := *chunk
 	if len(buf) == cap(buf) {
 		buf = arenaGrow(buf)
 	}
 	buf = buf[:len(buf)+1]
-	*slab = buf
+	*chunk = buf
 	*count++
 	return &buf[len(buf)-1]
 }

@@ -177,9 +177,9 @@ func (k Kind) String() string {
 
 // NodeKind methods. One per node type, returning the interned constant; all
 // are valid on nil receivers (they touch no fields), which is how New finds
-// a node type's slab. The method is named NodeKind rather than Kind because several
-// nodes carry an ESTree-mandated Kind field (VariableDeclaration, Property,
-// MethodDefinition) or a discriminator of their own (Literal).
+// a node type's slab. The method is named NodeKind rather than Kind because
+// several nodes carry an ESTree-mandated Kind field (VariableDeclaration,
+// Property, MethodDefinition) or a discriminator of their own (Literal).
 
 func (*Program) NodeKind() Kind                  { return KindProgram }
 func (*ExpressionStatement) NodeKind() Kind      { return KindExpressionStatement }
