@@ -213,15 +213,12 @@ func Inspect(n Node, f func(Node) bool) {
 	EachChild(n, func(c Node) { Inspect(c, f) })
 }
 
-// RewriteFunc maps a node to its replacement. Returning the node unchanged
-// keeps it; returning nil is not allowed (use an EmptyStatement to delete a
-// statement).
-type RewriteFunc func(n Node) Node
-
 // Rewrite rebuilds the tree bottom-up: children are rewritten first, then f
-// is applied to the node itself. The input tree is mutated in place (child
-// fields are reassigned) and the possibly-replaced root is returned.
-func Rewrite(n Node, f RewriteFunc) Node {
+// maps the node itself to its replacement. Returning the node unchanged keeps
+// it; returning nil is not allowed (use an EmptyStatement to delete a
+// statement). The input tree is mutated in place (child fields are
+// reassigned) and the possibly-replaced root is returned.
+func Rewrite(n Node, f func(Node) Node) Node {
 	if n == nil {
 		return nil
 	}
@@ -231,14 +228,14 @@ func Rewrite(n Node, f RewriteFunc) Node {
 
 // rwSlice rewrites each entry of nodes in place, leaving nil holes (array
 // elisions) nil.
-func rwSlice(nodes []Node, f RewriteFunc) []Node {
+func rwSlice(nodes []Node, f func(Node) Node) []Node {
 	for i, n := range nodes {
 		nodes[i] = Rewrite(n, f)
 	}
 	return nodes
 }
 
-func rwBlock(b *BlockStatement, f RewriteFunc) *BlockStatement {
+func rwBlock(b *BlockStatement, f func(Node) Node) *BlockStatement {
 	if b == nil {
 		return nil
 	}
@@ -251,7 +248,7 @@ func rwBlock(b *BlockStatement, f RewriteFunc) *BlockStatement {
 	return &BlockStatement{Body: []Node{out}}
 }
 
-func rewriteChildren(n Node, f RewriteFunc) {
+func rewriteChildren(n Node, f func(Node) Node) {
 	switch v := n.(type) {
 	case *Program:
 		v.Body = rwSlice(v.Body, f)
@@ -390,7 +387,7 @@ func rewriteChildren(n Node, f RewriteFunc) {
 	}
 }
 
-func rewriteClassBody(b *ClassBody, f RewriteFunc) {
+func rewriteClassBody(b *ClassBody, f func(Node) Node) {
 	if b == nil {
 		return
 	}
