@@ -6,6 +6,7 @@
 //	benchreg compare -baseline BENCH_4.json [-tolerance 0.15] [-alloc-tolerance 0.10] -input bench.txt
 //	benchreg compare -baseline BENCH_4.json [-bench .] ./pkg...
 //	benchreg diff old.json new.json [-tolerance 0.15] [-alloc-tolerance 0.10]
+//	benchreg ab base1.txt head1.txt [base2.txt head2.txt ...]
 //
 // run executes `go test -run '^$' -bench <pat> -benchmem` over the named
 // packages (or parses a pre-captured output file with -input), aggregates
@@ -16,7 +17,12 @@
 // memory regressions are gated harder than timing; -alloc-tolerance -1
 // turns memory gating off); any benchmark beyond either tolerance exits
 // with status 2 so scripts/bench.sh and scripts/check.sh can fail the gate.
-// diff compares two baseline files directly.
+// diff compares two baseline files directly. ab reads the raw `go test
+// -bench` outputs of paired runs, one base and one head run per pair, and
+// reports per benchmark the median per-pair head/base ratio of ns/op,
+// cpu-ns/op, B/op and allocs/op, the count of pairs the head won and the
+// base runs' relative IQR (scripts/bench.sh -ab produces the runs); it
+// gates nothing.
 package main
 
 import (
@@ -49,6 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdCompare(args[1:], stdout, stderr)
 	case "diff":
 		return cmdDiff(args[1:], stdout, stderr)
+	case "ab":
+		return cmdAB(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		usage(stdout)
 		return 0
@@ -64,6 +72,7 @@ func usage(w io.Writer) {
   benchreg run -out FILE [-bench PAT] [-count N] [-note S] [-input TXT] [pkg...]
   benchreg compare -baseline FILE [-tolerance F] [-alloc-tolerance F] [-bench PAT] [-count N] [-input TXT] [pkg...]
   benchreg diff OLD.json NEW.json [-tolerance F] [-alloc-tolerance F]
+  benchreg ab BASE1.txt HEAD1.txt [BASE2.txt HEAD2.txt ...]
 `)
 }
 
@@ -206,6 +215,39 @@ func cmdDiff(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return report(old.Results, new.Results, *tolerance, *allocTol, stdout)
+}
+
+func cmdAB(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || len(args)%2 != 0 {
+		fmt.Fprintln(stderr, "benchreg ab: want base and head output files in pairs")
+		return 2
+	}
+	var base, head [][]benchfmt.Result
+	for i, path := range args {
+		f, err := os.Open(path)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchreg ab: %v\n", err)
+			return 1
+		}
+		results, _, err := benchfmt.ParseOutput(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "benchreg ab: %s: %v\n", path, err)
+			return 1
+		}
+		if i%2 == 0 {
+			base = append(base, results)
+		} else {
+			head = append(head, results)
+		}
+	}
+	stats := benchfmt.Pairs(base, head)
+	if len(stats) == 0 {
+		fmt.Fprintln(stderr, "benchreg ab: no benchmark ran on both sides")
+		return 1
+	}
+	benchfmt.WritePairs(stdout, stats)
+	return 0
 }
 
 // report renders the diff and maps it to an exit code: 0 clean, 2 regressed.

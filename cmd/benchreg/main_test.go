@@ -189,3 +189,25 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("help: exit %d, want 0", code)
 	}
 }
+
+func TestABSubcommand(t *testing.T) {
+	const base = "pkg: p\nBenchmarkX-2 \t 10 \t 1000 ns/op \t 400 cpu-ns/op \t 64 B/op \t 2 allocs/op\n"
+	const head = "pkg: p\nBenchmarkX-2 \t 10 \t 800 ns/op \t 300 cpu-ns/op \t 32 B/op \t 1 allocs/op\n"
+	args := []string{"ab", writeInput(t, base), writeInput(t, head), writeInput(t, base), writeInput(t, head)}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"p.BenchmarkX", "ns/op", "0.800", "cpu-ns/op", "0.750", "allocs/op", "0.500", "2/2"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if code := run([]string{"ab", writeInput(t, base)}, &stdout, &stderr); code != 2 {
+		t.Errorf("odd file count: exit = %d, want 2", code)
+	}
+	if code := run([]string{"ab", writeInput(t, "PASS\n"), writeInput(t, "PASS\n")}, &stdout, &stderr); code != 1 {
+		t.Errorf("no shared benchmark: exit = %d, want 1", code)
+	}
+}

@@ -8,6 +8,16 @@
 #   ./scripts/bench.sh -update   run and write the next BENCH_<n>.json
 #                                baseline (check it in with the change that
 #                                moved the numbers)
+#   ./scripts/bench.sh -ab <rev> [pairs]
+#                                paired A/B against <rev> (default 10
+#                                pairs): builds the test binaries of <rev>
+#                                and of the working tree, runs them in
+#                                alternation (switching which runs first)
+#                                and prints, per benchmark, the median
+#                                per-pair ratio of ns/op, cpu-ns/op, B/op
+#                                and allocs/op, the pairs the tree won and
+#                                the <rev> runs' IQR. Report only: it gates
+#                                nothing. Narrow it with BENCH_PATTERN.
 #
 # Environment knobs:
 #   BENCH_COUNT     go test -count repetitions (default 3; the harness takes
@@ -74,8 +84,71 @@ check|-check)
         -bench "$BENCH_PATTERN" \
         $PKGS
     ;;
+-ab|ab)
+    rev="${2:-}"
+    pairs="${3:-10}"
+    if [ -z "$rev" ]; then
+        echo "usage: $0 -ab <rev> [pairs]" >&2
+        exit 2
+    fi
+    repo=$(pwd)
+    # A throwaway export of <rev> (git archive, so nothing is registered
+    # in .git) plus the binaries and outputs; removed on any exit.
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    trap 'exit 130' INT TERM
+    mkdir "$tmp/base" "$tmp/bin" "$tmp/out"
+    git archive "$rev" | tar -x -C "$tmp/base"
+    echo "== building test binaries: $rev vs working tree =="
+    built=""
+    for pkg in $PKGS; do
+        name=$(echo "$pkg" | tr './' '__')
+        go test -c -o "$tmp/bin/head$name" "$pkg"
+        # Only packages with a matching benchmark on the tree side run.
+        if [ ! -x "$tmp/bin/head$name" ] ||
+            ! (cd "$pkg" && "$tmp/bin/head$name" -test.list "$BENCH_PATTERN" | grep -q '^Benchmark'); then
+            continue
+        fi
+        (cd "$tmp/base" && go test -c -o "$tmp/bin/base$name" "$pkg")
+        if [ -x "$tmp/bin/base$name" ]; then
+            built="$built $pkg"
+        fi
+    done
+    if [ -z "$built" ]; then
+        echo "no package has a benchmark matching $BENCH_PATTERN on both sides" >&2
+        exit 1
+    fi
+    # runside SIDE PAIR: one run of every built package's binary, each from
+    # its own tree's package directory (benchmarks may read testdata).
+    runside() {
+        for pkg in $built; do
+            name=$(echo "$pkg" | tr './' '__')
+            dir="$repo/$pkg"
+            [ "$1" = base ] && dir="$tmp/base/$pkg"
+            (cd "$dir" && "$tmp/bin/$1$name" -test.run '^$' -test.bench "$BENCH_PATTERN" \
+                -test.benchmem -test.count 1) >>"$tmp/out/$1.$2.txt"
+        done
+    }
+    files=""
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        echo "== pair $i/$pairs =="
+        if [ $((i % 2)) -eq 1 ]; then
+            runside base "$i"
+            runside head "$i"
+        else
+            runside head "$i"
+            runside base "$i"
+        fi
+        files="$files $tmp/out/base.$i.txt $tmp/out/head.$i.txt"
+        i=$((i + 1))
+    done
+    echo "== $pairs pairs: head = working tree, base = $rev =="
+    # shellcheck disable=SC2086 # files is a space-separated path list
+    go run ./cmd/benchreg ab $files
+    ;;
 *)
-    echo "usage: $0 [-update]" >&2
+    echo "usage: $0 [-update | -ab <rev> [pairs]]" >&2
     exit 2
     ;;
 esac
