@@ -26,6 +26,9 @@ type Arena struct {
 	// StampIDs uses it (via NodeCount) to pre-size the dense ID table and
 	// the parse-order kind stream exactly.
 	count int
+
+	// lists is the chunk List carves node lists from.
+	lists []Node
 }
 
 // slab is one node type's storage: the chunk being filled and the first
@@ -100,4 +103,31 @@ func newSlab[T any]() *slab[T] {
 	s := new(slab[T])
 	s.buf = s.first[:0]
 	return s
+}
+
+// List copies items into arena-owned storage and returns an exact-length
+// slice of it (nil for no items). The slice's capacity equals its length,
+// so a later append reallocates instead of overwriting a neighbouring
+// list. Lists share chunks that double like the node slabs; a list longer
+// than arenaChunkMax gets its own allocation.
+func (a *Arena) List(items []Node) []Node {
+	n := len(items)
+	if n == 0 {
+		return nil
+	}
+	if n > arenaChunkMax {
+		return append([]Node(nil), items...)
+	}
+	buf := a.lists
+	if cap(buf)-len(buf) < n {
+		buf = arenaGrow(buf)
+		if cap(buf) < n {
+			buf = make([]Node, 0, arenaChunkMax)
+		}
+	}
+	at := len(buf)
+	buf = buf[:at+n]
+	copy(buf[at:], items)
+	a.lists = buf
+	return buf[at : at+n : at+n]
 }

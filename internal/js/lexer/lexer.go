@@ -38,12 +38,12 @@ type Lexer struct {
 	src string
 	off int // current byte offset
 
-	// prevKind and prevWord track the previous significant token for the
-	// regex-vs-division decision. Only the kind plus one string matter
-	// (the keyword name or the punctuator), so storing them beats copying
-	// a full Token on every Next.
+	// prevKind and prevOp track the previous significant token for the
+	// regex-vs-division decision. Only the kind and the punctuator or
+	// keyword code matter, so storing them beats copying a full Token on
+	// every Next.
 	prevKind Kind
-	prevWord string
+	prevOp   Op
 	// hasPrev is false before the first token.
 	hasPrev bool
 
@@ -79,7 +79,7 @@ func (l *Lexer) Reset(src string) {
 	l.src = src
 	l.off = 0
 	l.prevKind = 0
-	l.prevWord = ""
+	l.prevOp = OpNone
 	l.hasPrev = false
 	l.comments = l.comments[:0]
 	l.newlineBefore = false
@@ -274,7 +274,7 @@ func (l *Lexer) lineComment(n int) {
 type State struct {
 	off         int
 	prevKind    Kind
-	prevWord    string
+	prevOp      Op
 	hasPrev     bool
 	numComments int
 }
@@ -282,7 +282,7 @@ type State struct {
 // Save captures the current lexer state.
 func (l *Lexer) Save() State {
 	return State{
-		off: l.off, prevKind: l.prevKind, prevWord: l.prevWord, hasPrev: l.hasPrev,
+		off: l.off, prevKind: l.prevKind, prevOp: l.prevOp, hasPrev: l.hasPrev,
 		numComments: len(l.comments),
 	}
 }
@@ -290,7 +290,7 @@ func (l *Lexer) Save() State {
 // Restore rewinds the lexer to a previously saved state.
 func (l *Lexer) Restore(s State) {
 	l.off = s.off
-	l.prevKind, l.prevWord, l.hasPrev = s.prevKind, s.prevWord, s.hasPrev
+	l.prevKind, l.prevOp, l.hasPrev = s.prevKind, s.prevOp, s.hasPrev
 	l.comments = l.comments[:s.numComments]
 }
 
@@ -357,19 +357,12 @@ func (l *Lexer) NextInto(tok *Token) error {
 }
 
 // rememberPrev records the pieces of tok that regexAllowed consults: the
-// kind, plus the keyword name or punctuator text.
+// kind and the punctuator or keyword code.
 //
 //jslint:hotpath
 func (l *Lexer) rememberPrev(tok *Token) {
 	l.prevKind = tok.Kind
-	switch tok.Kind {
-	case Keyword:
-		l.prevWord = tok.StringValue
-	case Punct:
-		l.prevWord = tok.Lexeme
-	default:
-		l.prevWord = ""
-	}
+	l.prevOp = tok.Op
 	l.hasPrev = true
 }
 
@@ -385,15 +378,10 @@ func (l *Lexer) regexAllowed() bool {
 	switch l.prevKind {
 	case Ident, Number, String, Regex, NoSubstTemplate, TemplateTail, PrivateIdent:
 		return false
-	case Keyword:
-		switch l.prevWord {
-		case "this", "super", "true", "false", "null":
-			return false
-		}
-		return true
-	case Punct:
-		switch l.prevWord {
-		case ")", "]", "}", "++", "--":
+	case Keyword, Punct:
+		switch l.prevOp {
+		case OpThis, OpSuper, OpTrue, OpFalse, OpNull,
+			OpRParen, OpRBracket, OpRBrace, OpInc, OpDec:
 			return false
 		}
 		return true
@@ -436,11 +424,12 @@ func (l *Lexer) scanIdentOrKeyword(start int32, tok *Token) error {
 	if name == "" {
 		return &Error{Pos: ast.Pos{Offset: start}, Msg: "expected identifier"} //jslint:ignore hotpath-noalloc error path terminates the scan
 	}
-	kind := Ident
-	if isKeywordName(name) {
+	kind, op := Ident, keywordOp(name)
+	if op != OpNone {
 		kind = Keyword
 	}
 	tok.Kind = kind
+	tok.Op = op
 	tok.Lexeme = name
 	tok.StringValue = name
 	tok.Start = start
@@ -491,11 +480,11 @@ func (l *Lexer) scanIdentSlow(start int32, startOff int, tok *Token) error {
 	if name == "" {
 		return &Error{Pos: ast.Pos{Offset: start}, Msg: "expected identifier"}
 	}
-	kind := Ident
-	if isKeywordName(name) {
+	kind, op := Ident, keywordOp(name)
+	if op != OpNone {
 		kind = Keyword
 	}
-	*tok = Token{Kind: kind, Lexeme: l.src[startOff:l.off], StringValue: name, Start: start, End: l.pos()}
+	*tok = Token{Kind: kind, Op: op, Lexeme: l.src[startOff:l.off], StringValue: name, Start: start, End: l.pos()}
 	return nil
 }
 
@@ -511,6 +500,7 @@ func (l *Lexer) scanPrivateIdent(start int32, tok *Token) error {
 		return err
 	}
 	tok.Kind = PrivateIdent
+	tok.Op = OpNone
 	tok.Lexeme = l.src[start:l.off]
 	if len(tok.StringValue) == len(tok.Lexeme)-1 {
 		// Escape-free: the decoded name is the raw name, so the decoded
@@ -1016,54 +1006,28 @@ func (l *Lexer) scanRegex(start int32, tok *Token) error {
 	}
 }
 
-// punctsByFirst groups multi-character punctuators by first byte, longest
-// first, so scanPunct only tests candidates sharing the lead byte. An array
-// indexed by the byte keeps the per-token dispatch hash-free.
-var punctsByFirst = [utf8.RuneSelf][]string{
-	'>': {">>>=", ">>>", ">>=", ">=", ">>", ">"},
-	'.': {"...", "."},
-	'=': {"===", "=>", "==", "="},
-	'!': {"!==", "!=", "!"},
-	'*': {"**=", "*=", "**", "*"},
-	'<': {"<<=", "<=", "<<", "<"},
-	'&': {"&&=", "&&", "&=", "&"},
-	'|': {"||=", "||", "|=", "|"},
-	'?': {"??=", "?.", "??", "?"},
-	'+': {"++", "+=", "+"},
-	'-': {"--", "-=", "-"},
-	'/': {"/=", "/"},
-	'%': {"%=", "%"},
-	'^': {"^=", "^"},
-	'{': {"{"}, '}': {"}"}, '(': {"("}, ')': {")"}, '[': {"["}, ']': {"]"},
-	';': {";"}, ',': {","}, '~': {"~"}, ':': {":"}, '@': {"@"},
-}
-
+// scanPunct scans the longest punctuator at the current offset; matchPunct
+// picks it with a byte switch.
+//
 //jslint:hotpath
 func (l *Lexer) scanPunct(start int32, tok *Token) error {
-	rest := l.src[l.off:]
-	if len(rest) > 0 && rest[0] < utf8.RuneSelf {
-		for _, p := range punctsByFirst[rest[0]] {
-			if strings.HasPrefix(rest, p) {
-				// `?.` followed by a digit is a ternary, e.g. `a?.5:b`.
-				if p == "?." && len(rest) > 2 && isDecimalDigit(rest[2]) {
-					continue
-				}
-				l.advance(len(p))
-				// Explicit field stores: a Token{...} literal assignment
-				// builds a temporary and duffcopies it into *tok, which
-				// shows up on profiles for punct-heavy minified input.
-				tok.Kind = Punct
-				tok.Lexeme = p
-				tok.Start = start
-				tok.End = l.pos()
-				tok.StringValue = ""
-				tok.NumberValue = 0
-				tok.RegexPattern = ""
-				tok.RegexFlags = ""
-				return nil
-			}
-		}
+	op, n := matchPunct(l.src[l.off:])
+	if n == 0 {
+		r, _ := l.peekRune()
+		return &Error{Pos: ast.Pos{Offset: start}, Msg: fmt.Sprintf("unexpected character %q", r)} //jslint:ignore hotpath-noalloc error path terminates the scan
 	}
-	r, _ := l.peekRune()
-	return &Error{Pos: ast.Pos{Offset: start}, Msg: fmt.Sprintf("unexpected character %q", r)} //jslint:ignore hotpath-noalloc error path terminates the scan
+	// Explicit field stores: a Token{...} literal assignment builds a
+	// temporary and duffcopies it into *tok, which shows up on profiles
+	// for punct-heavy minified input.
+	tok.Kind = Punct
+	tok.Op = op
+	tok.Lexeme = opNames[op]
+	tok.Start = start
+	l.advance(n)
+	tok.End = l.pos()
+	tok.StringValue = ""
+	tok.NumberValue = 0
+	tok.RegexPattern = ""
+	tok.RegexFlags = ""
+	return nil
 }

@@ -78,6 +78,9 @@ type Token struct {
 	// previous token and this one; the parser needs it for automatic
 	// semicolon insertion.
 	NewlineBefore bool
+	// Op is the code of a Punct or Keyword token (an escaped keyword
+	// spelling such as \u0069f included) and OpNone for every other kind.
+	Op Op
 	// StringValue is the decoded value for String, Ident, Keyword, and
 	// PrivateIdent tokens (escapes applied; PrivateIdent keeps its '#')
 	// and the cooked value for template tokens. Anything comparing or
@@ -104,27 +107,4 @@ type Comment struct {
 	Range ast.Range // byte range, delimiters included
 	Text  string    // comment text without delimiters
 	Block bool      // true for /* */ comments
-}
-
-// isKeywordName reports whether name is a reserved word tokenized as
-// Keyword. Contextual keywords (of, async, get, set, static, from, as) stay
-// Ident and are recognized by the parser from the decoded name. Every
-// identifier the lexer scans takes this test, so it is a string switch —
-// length dispatch plus memory compare — rather than a map lookup, which
-// would hash the name on every call.
-//
-//jslint:hotpath
-func isKeywordName(name string) bool {
-	switch name {
-	case "await", "break", "case", "catch", "class",
-		"const", "continue", "debugger", "default",
-		"delete", "do", "else", "export", "extends",
-		"finally", "for", "function", "if", "import",
-		"in", "instanceof", "let", "new", "return",
-		"super", "switch", "this", "throw", "try",
-		"typeof", "var", "void", "while", "with",
-		"yield", "true", "false", "null":
-		return true
-	}
-	return false
 }

@@ -12,6 +12,7 @@ type saved struct {
 	numStored  int
 	numTokens  int
 	lastEndPos int32
+	listHeight int
 }
 
 func (p *parser) save() saved {
@@ -21,6 +22,7 @@ func (p *parser) save() saved {
 		numStored:  len(p.tokens),
 		numTokens:  p.numTokens,
 		lastEndPos: p.lastEnd_,
+		listHeight: len(p.list),
 	}
 }
 
@@ -30,6 +32,7 @@ func (p *parser) restore(s saved) {
 	p.tokens = p.tokens[:s.numStored]
 	p.numTokens = s.numTokens
 	p.lastEnd_ = s.lastEndPos
+	p.truncList(s.listHeight)
 }
 
 // ---------------------------------------------------------------------------
@@ -44,17 +47,17 @@ func (p *parser) parseFunctionDeclaration(isAsync bool) (*ast.FunctionDeclaratio
 // permits the anonymous `export default function () {}` form.
 func (p *parser) parseFunctionDeclarationNamed(isAsync, allowAnon bool) (*ast.FunctionDeclaration, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("function"); err != nil {
+	if err := p.expectKeyword(lexer.OpFunction); err != nil {
 		return nil, err
 	}
 	gen := false
-	if ok, err := p.eatPunct("*"); err != nil {
+	if ok, err := p.eatPunct(lexer.OpMul); err != nil {
 		return nil, err
 	} else if ok {
 		gen = true
 	}
 	fn := ast.New(p.arena, ast.FunctionDeclaration{Generator: gen, Async: isAsync})
-	if p.at(lexer.Ident) || p.tok.Kind == lexer.Keyword && isContextualName(p.tok.StringValue) {
+	if p.at(lexer.Ident) || isContextualName(p.tok.Op) {
 		fn.ID = p.identHere(p.tok.StringValue)
 		if err := p.next(); err != nil {
 			return nil, err
@@ -78,11 +81,11 @@ func (p *parser) parseFunctionDeclarationNamed(isAsync, allowAnon bool) (*ast.Fu
 
 func (p *parser) parseFunctionExpression(isAsync bool) (*ast.FunctionExpression, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("function"); err != nil {
+	if err := p.expectKeyword(lexer.OpFunction); err != nil {
 		return nil, err
 	}
 	gen := false
-	if ok, err := p.eatPunct("*"); err != nil {
+	if ok, err := p.eatPunct(lexer.OpMul); err != nil {
 		return nil, err
 	} else if ok {
 		gen = true
@@ -110,41 +113,37 @@ func (p *parser) parseFunctionExpression(isAsync bool) (*ast.FunctionExpression,
 
 // isContextualName reports keywords that are still valid as names in certain
 // positions (sloppy-mode leniency for real-world code).
-func isContextualName(s string) bool {
-	switch s {
-	case "yield", "await", "let":
-		return true
-	}
-	return false
+func isContextualName(op lexer.Op) bool {
+	return op == lexer.OpYield || op == lexer.OpAwait || op == lexer.OpLet
 }
 
 // parseParams parses `( param, ... )` with defaults, patterns, and rest.
 func (p *parser) parseParams() ([]ast.Node, error) {
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
-	var params []ast.Node
-	for !p.atPunct(")") {
+	height := len(p.list)
+	for !p.atPunct(lexer.OpRParen) {
 		param, err := p.parseParam()
 		if err != nil {
 			return nil, err
 		}
-		params = append(params, param)
-		if ok, err := p.eatPunct(","); err != nil {
+		p.push(param)
+		if ok, err := p.eatPunct(lexer.OpComma); err != nil {
 			return nil, err
 		} else if !ok {
 			break
 		}
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
-	return params, nil
+	return p.popList(height), nil
 }
 
 func (p *parser) parseParam() (ast.Node, error) {
 	start := p.tok.Start
-	if p.atPunct("...") {
+	if p.atPunct(lexer.OpEllipsis) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -158,7 +157,7 @@ func (p *parser) parseParam() (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ok, err := p.eatPunct("="); err != nil {
+	if ok, err := p.eatPunct(lexer.OpAssign); err != nil {
 		return nil, err
 	} else if ok {
 		dflt, err := p.parseAssignment(false)
@@ -175,15 +174,15 @@ func (p *parser) parseParam() (ast.Node, error) {
 func (p *parser) parseBindingTarget() (ast.Node, error) {
 	start := p.tok.Start
 	switch {
-	case p.at(lexer.Ident), p.tok.Kind == lexer.Keyword && isContextualName(p.tok.StringValue):
+	case p.at(lexer.Ident), isContextualName(p.tok.Op):
 		id := ast.New(p.arena, ast.Identifier{Name: p.tok.StringValue})
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return finish(p, id, start), nil
-	case p.atPunct("["):
+	case p.atPunct(lexer.OpLBracket):
 		return p.parseArrayPattern()
-	case p.atPunct("{"):
+	case p.atPunct(lexer.OpLBrace):
 		return p.parseObjectPattern()
 	default:
 		return nil, p.errorf("expected binding target, found %q", p.tok.Lexeme)
@@ -192,13 +191,14 @@ func (p *parser) parseBindingTarget() (ast.Node, error) {
 
 func (p *parser) parseArrayPattern() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectPunct("["); err != nil {
+	if err := p.expectPunct(lexer.OpLBracket); err != nil {
 		return nil, err
 	}
 	pat := ast.New(p.arena, ast.ArrayPattern{})
-	for !p.atPunct("]") {
-		if p.atPunct(",") {
-			pat.Elements = append(pat.Elements, nil) // hole
+	height := len(p.list)
+	for !p.atPunct(lexer.OpRBracket) {
+		if p.atPunct(lexer.OpComma) {
+			p.push(nil) // hole
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -206,7 +206,7 @@ func (p *parser) parseArrayPattern() (ast.Node, error) {
 		}
 		var el ast.Node
 		var err error
-		if p.atPunct("...") {
+		if p.atPunct(lexer.OpEllipsis) {
 			eStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
@@ -222,27 +222,29 @@ func (p *parser) parseArrayPattern() (ast.Node, error) {
 				return nil, err
 			}
 		}
-		pat.Elements = append(pat.Elements, el)
-		if !p.atPunct("]") {
-			if err := p.expectPunct(","); err != nil {
+		p.push(el)
+		if !p.atPunct(lexer.OpRBracket) {
+			if err := p.expectPunct(lexer.OpComma); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.expectPunct("]"); err != nil {
+	if err := p.expectPunct(lexer.OpRBracket); err != nil {
 		return nil, err
 	}
+	pat.Elements = p.popList(height)
 	return finish(p, pat, start), nil
 }
 
 func (p *parser) parseObjectPattern() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expectPunct(lexer.OpLBrace); err != nil {
 		return nil, err
 	}
 	pat := ast.New(p.arena, ast.ObjectPattern{})
-	for !p.atPunct("}") {
-		if p.atPunct("...") {
+	height := len(p.list)
+	for !p.atPunct(lexer.OpRBrace) {
+		if p.atPunct(lexer.OpEllipsis) {
 			eStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
@@ -251,23 +253,24 @@ func (p *parser) parseObjectPattern() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			pat.Properties = append(pat.Properties, finish(p, ast.New(p.arena, ast.RestElement{Argument: arg}), eStart))
+			p.push(finish(p, ast.New(p.arena, ast.RestElement{Argument: arg}), eStart))
 		} else {
 			prop, err := p.parsePatternProperty()
 			if err != nil {
 				return nil, err
 			}
-			pat.Properties = append(pat.Properties, prop)
+			p.push(prop)
 		}
-		if !p.atPunct("}") {
-			if err := p.expectPunct(","); err != nil {
+		if !p.atPunct(lexer.OpRBrace) {
+			if err := p.expectPunct(lexer.OpComma); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.expectPunct("}"); err != nil {
+	if err := p.expectPunct(lexer.OpRBrace); err != nil {
 		return nil, err
 	}
+	pat.Properties = p.popList(height)
 	return finish(p, pat, start), nil
 }
 
@@ -280,7 +283,7 @@ func (p *parser) parsePatternProperty() (ast.Node, error) {
 	}
 	prop.Key = key
 	prop.Computed = computed
-	if ok, err := p.eatPunct(":"); err != nil {
+	if ok, err := p.eatPunct(lexer.OpColon); err != nil {
 		return nil, err
 	} else if ok {
 		val, err := p.parseParam()
@@ -295,7 +298,7 @@ func (p *parser) parsePatternProperty() (ast.Node, error) {
 			return nil, p.errorf("invalid shorthand pattern property")
 		}
 		prop.Shorthand = true
-		if ok, err := p.eatPunct("="); err != nil {
+		if ok, err := p.eatPunct(lexer.OpAssign); err != nil {
 			return nil, err
 		} else if ok {
 			dflt, err := p.parseAssignment(false)
@@ -341,7 +344,7 @@ func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
 		}
 		return finish(p, id, start), false, nil
 	case lexer.Punct:
-		if p.atPunct("[") {
+		if p.atPunct(lexer.OpLBracket) {
 			if err := p.next(); err != nil {
 				return nil, false, err
 			}
@@ -349,7 +352,7 @@ func (p *parser) parsePropertyKey() (ast.Node, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			if err := p.expectPunct("]"); err != nil {
+			if err := p.expectPunct(lexer.OpRBracket); err != nil {
 				return nil, false, err
 			}
 			return key, true, nil
@@ -381,7 +384,7 @@ func (p *parser) parseClassExpression() (ast.Node, error) {
 }
 
 func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, error) {
-	if err := p.expectKeyword("class"); err != nil {
+	if err := p.expectKeyword(lexer.OpClass); err != nil {
 		return nil, nil, nil, err
 	}
 	var id *ast.Identifier
@@ -392,7 +395,7 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 		}
 	}
 	var super ast.Node
-	if p.atKeyword("extends") {
+	if p.atKeyword(lexer.OpExtends) {
 		if err := p.next(); err != nil {
 			return nil, nil, nil, err
 		}
@@ -403,12 +406,13 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 		super = s
 	}
 	bStart := p.tok.Start
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expectPunct(lexer.OpLBrace); err != nil {
 		return nil, nil, nil, err
 	}
 	body := ast.New(p.arena, ast.ClassBody{})
-	for !p.atPunct("}") {
-		if ok, err := p.eatPunct(";"); err != nil {
+	height := len(p.list)
+	for !p.atPunct(lexer.OpRBrace) {
+		if ok, err := p.eatPunct(lexer.OpSemicolon); err != nil {
 			return nil, nil, nil, err
 		} else if ok {
 			continue
@@ -417,11 +421,12 @@ func (p *parser) parseClassTail() (*ast.Identifier, ast.Node, *ast.ClassBody, er
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		body.Body = append(body.Body, m)
+		p.push(m)
 	}
-	if err := p.expectPunct("}"); err != nil {
+	if err := p.expectPunct(lexer.OpRBrace); err != nil {
 		return nil, nil, nil, err
 	}
+	body.Body = p.popList(height)
 	finish(p, body, bStart)
 	return id, super, body, nil
 }
@@ -435,7 +440,7 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if p.atPunct("(") {
+		if p.atPunct(lexer.OpLParen) {
 			p.restore(save) // a method actually named `static`
 		} else {
 			m.Static = true
@@ -448,13 +453,13 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if p.atPunct("(") {
+		if p.atPunct(lexer.OpLParen) {
 			p.restore(save) // method named `async`
 		} else {
 			isAsync = true
 		}
 	}
-	if p.atPunct("*") {
+	if p.atPunct(lexer.OpMul) {
 		isGen = true
 		if err := p.next(); err != nil {
 			return nil, err
@@ -466,7 +471,7 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if p.atPunct("(") {
+		if p.atPunct(lexer.OpLParen) {
 			p.restore(save) // method named get/set
 		} else {
 			m.Kind = accessor
@@ -480,9 +485,9 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 	m.Computed = computed
 	// Class field: `key = value;`, `key;`, or key followed by `}` / a new
 	// member on the next line (ES2022 PropertyDefinition).
-	if m.Kind == "method" && !p.atPunct("(") {
+	if m.Kind == "method" && !p.atPunct(lexer.OpLParen) {
 		field := ast.New(p.arena, ast.PropertyDefinition{Key: key, Computed: computed, Static: m.Static})
-		if ok, err := p.eatPunct("="); err != nil {
+		if ok, err := p.eatPunct(lexer.OpAssign); err != nil {
 			return nil, err
 		} else if ok {
 			val, err := p.parseAssignment(false)
@@ -522,15 +527,16 @@ func (p *parser) parseClassMember() (ast.Node, error) {
 func (p *parser) parseImport() (ast.Node, error) {
 	start := p.tok.Start
 	save := p.save()
-	if err := p.expectKeyword("import"); err != nil {
+	if err := p.expectKeyword(lexer.OpImport); err != nil {
 		return nil, err
 	}
 	// `import(...)` dynamic import and `import.meta` are expressions.
-	if p.atPunct("(") || p.atPunct(".") {
+	if p.atPunct(lexer.OpLParen) || p.atPunct(lexer.OpDot) {
 		p.restore(save)
 		return p.parseExpressionStatement()
 	}
 	decl := ast.New(p.arena, ast.ImportDeclaration{})
+	height := len(p.list)
 	if p.at(lexer.String) {
 		// `import "mod";`
 		decl.Source = p.stringLitHere()
@@ -550,8 +556,8 @@ func (p *parser) parseImport() (ast.Node, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			decl.Specifiers = append(decl.Specifiers, spec)
-		case p.atPunct("*"):
+			p.push(spec)
+		case p.atPunct(lexer.OpMul):
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -566,12 +572,12 @@ func (p *parser) parseImport() (ast.Node, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			decl.Specifiers = append(decl.Specifiers, spec)
-		case p.atPunct("{"):
+			p.push(spec)
+		case p.atPunct(lexer.OpLBrace):
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			for !p.atPunct("}") {
+			for !p.atPunct(lexer.OpRBrace) {
 				imported := p.identHere(p.tok.StringValue)
 				if err := p.next(); err != nil {
 					return nil, err
@@ -588,25 +594,26 @@ func (p *parser) parseImport() (ast.Node, error) {
 				}
 				spec := ast.New(p.arena, ast.ImportSpecifier{Imported: imported, Local: local})
 				spec.SetRange(byteRange(imported.Range().Start, local.Range().End))
-				decl.Specifiers = append(decl.Specifiers, spec)
-				if !p.atPunct("}") {
-					if err := p.expectPunct(","); err != nil {
+				p.push(spec)
+				if !p.atPunct(lexer.OpRBrace) {
+					if err := p.expectPunct(lexer.OpComma); err != nil {
 						return nil, err
 					}
 				}
 			}
-			if err := p.expectPunct("}"); err != nil {
+			if err := p.expectPunct(lexer.OpRBrace); err != nil {
 				return nil, err
 			}
 		default:
 			return nil, p.errorf("unexpected token in import: %q", p.tok.Lexeme)
 		}
-		if ok, err := p.eatPunct(","); err != nil {
+		if ok, err := p.eatPunct(lexer.OpComma); err != nil {
 			return nil, err
 		} else if !ok {
 			break
 		}
 	}
+	decl.Specifiers = p.popList(height)
 	if !p.atIdentName("from") {
 		return nil, p.errorf("expected 'from' in import")
 	}
@@ -628,20 +635,20 @@ func (p *parser) parseImport() (ast.Node, error) {
 
 func (p *parser) parseExport() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("export"); err != nil {
+	if err := p.expectKeyword(lexer.OpExport); err != nil {
 		return nil, err
 	}
 	switch {
-	case p.atKeyword("default"):
+	case p.atKeyword(lexer.OpDefault):
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		var decl ast.Node
 		var err error
 		switch {
-		case p.atKeyword("function"):
+		case p.atKeyword(lexer.OpFunction):
 			decl, err = p.parseFunctionDeclarationNamed(false, true)
-		case p.atKeyword("class"):
+		case p.atKeyword(lexer.OpClass):
 			decl, err = p.parseClassDeclaration()
 		default:
 			decl, err = p.parseAssignment(false)
@@ -653,7 +660,7 @@ func (p *parser) parseExport() (ast.Node, error) {
 			return nil, err
 		}
 		return finish(p, ast.New(p.arena, ast.ExportDefaultDeclaration{Declaration: decl}), start), nil
-	case p.atPunct("*"):
+	case p.atPunct(lexer.OpMul):
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -674,12 +681,13 @@ func (p *parser) parseExport() (ast.Node, error) {
 			return nil, err
 		}
 		return finish(p, ast.New(p.arena, ast.ExportAllDeclaration{Source: src}), start), nil
-	case p.atPunct("{"):
+	case p.atPunct(lexer.OpLBrace):
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		decl := ast.New(p.arena, ast.ExportNamedDeclaration{})
-		for !p.atPunct("}") {
+		height := len(p.list)
+		for !p.atPunct(lexer.OpRBrace) {
 			local := p.identHere(p.tok.StringValue)
 			if err := p.next(); err != nil {
 				return nil, err
@@ -696,16 +704,17 @@ func (p *parser) parseExport() (ast.Node, error) {
 			}
 			spec := ast.New(p.arena, ast.ExportSpecifier{Local: local, Exported: exported})
 			spec.SetRange(byteRange(local.Range().Start, exported.Range().End))
-			decl.Specifiers = append(decl.Specifiers, spec)
-			if !p.atPunct("}") {
-				if err := p.expectPunct(","); err != nil {
+			p.push(spec)
+			if !p.atPunct(lexer.OpRBrace) {
+				if err := p.expectPunct(lexer.OpComma); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if err := p.expectPunct("}"); err != nil {
+		if err := p.expectPunct(lexer.OpRBrace); err != nil {
 			return nil, err
 		}
+		decl.Specifiers = popListOf[*ast.ExportSpecifier](p, height)
 		if p.atIdentName("from") {
 			if err := p.next(); err != nil {
 				return nil, err
@@ -726,11 +735,11 @@ func (p *parser) parseExport() (ast.Node, error) {
 		var inner ast.Node
 		var err error
 		switch {
-		case p.atKeyword("var"), p.atKeyword("let"), p.atKeyword("const"):
+		case p.atKeyword(lexer.OpVar), p.atKeyword(lexer.OpLet), p.atKeyword(lexer.OpConst):
 			inner, err = p.parseVariableDeclaration(true)
-		case p.atKeyword("function"):
+		case p.atKeyword(lexer.OpFunction):
 			inner, err = p.parseFunctionDeclaration(false)
-		case p.atKeyword("class"):
+		case p.atKeyword(lexer.OpClass):
 			inner, err = p.parseClassDeclaration()
 		case p.atIdentName("async"):
 			if err := p.next(); err != nil {

@@ -13,11 +13,12 @@ func (p *parser) parseExpression(noIn bool) (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atPunct(",") {
+	if !p.atPunct(lexer.OpComma) {
 		return first, nil
 	}
-	seq := ast.New(p.arena, ast.SequenceExpression{Expressions: []ast.Node{first}})
-	for p.atPunct(",") {
+	height := len(p.list)
+	p.push(first)
+	for p.atPunct(lexer.OpComma) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -25,26 +26,63 @@ func (p *parser) parseExpression(noIn bool) (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq.Expressions = append(seq.Expressions, next)
+		p.push(next)
 	}
+	seq := ast.New(p.arena, ast.SequenceExpression{Expressions: p.popList(height)})
 	return finish(p, seq, start), nil
 }
 
 func (p *parser) parseAssignmentNoIn() (ast.Node, error) { return p.parseAssignment(true) }
 
-// isAssignOp reports whether op is an assignment operator. A string switch
-// (length dispatch plus memory compare) keeps the per-expression test off
-// the map-hashing path.
-//
-//jslint:hotpath
-func isAssignOp(op string) bool {
-	switch op {
-	case "=", "+=", "-=", "*=", "/=", "%=",
-		"<<=", ">>=", ">>>=", "&=", "|=", "^=",
-		"**=", "&&=", "||=", "??=":
-		return true
+// Operator classes, indexed by token code: the per-expression operator
+// tests are one table load each.
+var (
+	// binaryPrecs maps binary and logical operators to precedence levels.
+	// Higher binds tighter; zero means "not a binary operator".
+	binaryPrecs = [lexer.OpCount]int8{
+		lexer.OpNullish: 1,
+		lexer.OpOr:      2,
+		lexer.OpAnd:     3,
+		lexer.OpBitOr:   4,
+		lexer.OpBitXor:  5,
+		lexer.OpBitAnd:  6,
+		lexer.OpEq:      7, lexer.OpNe: 7, lexer.OpStrictEq: 7, lexer.OpStrictNe: 7,
+		lexer.OpLT: 8, lexer.OpGT: 8, lexer.OpLE: 8, lexer.OpGE: 8,
+		lexer.OpIn: 8, lexer.OpInstanceof: 8,
+		lexer.OpShl: 9, lexer.OpShr: 9, lexer.OpUShr: 9,
+		lexer.OpAdd: 10, lexer.OpSub: 10,
+		lexer.OpMul: 11, lexer.OpDiv: 11, lexer.OpMod: 11,
+		lexer.OpExp: 12,
 	}
-	return false
+	assignOps = [lexer.OpCount]bool{
+		lexer.OpAssign: true, lexer.OpAddAssign: true, lexer.OpSubAssign: true,
+		lexer.OpMulAssign: true, lexer.OpDivAssign: true, lexer.OpModAssign: true,
+		lexer.OpShlAssign: true, lexer.OpShrAssign: true, lexer.OpUShrAssign: true,
+		lexer.OpAndAssign: true, lexer.OpOrAssign: true, lexer.OpXorAssign: true,
+		lexer.OpExpAssign: true, lexer.OpLAndAssign: true, lexer.OpLOrAssign: true,
+		lexer.OpNullAssign: true,
+	}
+	// unaryOps are the prefix operators that build a UnaryExpression.
+	unaryOps = [lexer.OpCount]bool{
+		lexer.OpAdd: true, lexer.OpSub: true, lexer.OpTilde: true, lexer.OpNot: true,
+		lexer.OpTypeof: true, lexer.OpVoid: true, lexer.OpDelete: true,
+	}
+)
+
+// binaryPrec returns op's binary precedence, zero when op is not a binary
+// operator.
+func binaryPrec(op lexer.Op) int { return int(binaryPrecs[op]) }
+
+// isAssignOp reports whether op is an assignment operator.
+func isAssignOp(op lexer.Op) bool { return assignOps[op] }
+
+// isUnaryOp reports whether op is a prefix operator building a
+// UnaryExpression (+ - ~ ! typeof void delete).
+func isUnaryOp(op lexer.Op) bool { return unaryOps[op] }
+
+// isLogicalOp reports whether op builds a LogicalExpression.
+func isLogicalOp(op lexer.Op) bool {
+	return op == lexer.OpAnd || op == lexer.OpOr || op == lexer.OpNullish
 }
 
 // parseAssignment parses an AssignmentExpression (the non-comma expression
@@ -56,7 +94,7 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 	defer p.leave()
 	start := p.tok.Start
 
-	if p.atKeyword("yield") {
+	if p.atKeyword(lexer.OpYield) {
 		return p.parseYield()
 	}
 
@@ -72,13 +110,12 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 		return nil, err
 	}
 
-	if p.tok.Kind == lexer.Punct && isAssignOp(p.tok.Lexeme) {
-		op := p.tok.Lexeme
+	if op := p.tok.Op; isAssignOp(op) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		target := left
-		if op == "=" {
+		if op == lexer.OpAssign {
 			// Destructuring assignment: reinterpret literal as pattern.
 			switch left.(type) {
 			case *ast.ArrayExpression, *ast.ObjectExpression:
@@ -92,25 +129,25 @@ func (p *parser) parseAssignment(noIn bool) (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, ast.New(p.arena, ast.AssignmentExpression{Operator: op, Left: target, Right: right}), start), nil
+		return finish(p, ast.New(p.arena, ast.AssignmentExpression{Operator: op.String(), Left: target, Right: right}), start), nil
 	}
 	return left, nil
 }
 
 func (p *parser) parseYield() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("yield"); err != nil {
+	if err := p.expectKeyword(lexer.OpYield); err != nil {
 		return nil, err
 	}
 	y := ast.New(p.arena, ast.YieldExpression{})
-	if p.atPunct("*") {
+	if p.atPunct(lexer.OpMul) {
 		y.Delegate = true
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 	}
-	if !p.tok.NewlineBefore && !p.atPunct(")") && !p.atPunct("]") && !p.atPunct("}") &&
-		!p.atPunct(",") && !p.atPunct(";") && !p.atPunct(":") && !p.at(lexer.EOF) {
+	if !p.tok.NewlineBefore && !p.atPunct(lexer.OpRParen) && !p.atPunct(lexer.OpRBracket) && !p.atPunct(lexer.OpRBrace) &&
+		!p.atPunct(lexer.OpComma) && !p.atPunct(lexer.OpSemicolon) && !p.atPunct(lexer.OpColon) && !p.at(lexer.EOF) {
 		arg, err := p.parseAssignment(false)
 		if err != nil {
 			return nil, err
@@ -131,7 +168,7 @@ func (p *parser) tryParseArrow() (ast.Node, bool, error) {
 		if err := p.next(); err != nil {
 			return nil, false, err
 		}
-		if !p.tok.NewlineBefore && (p.at(lexer.Ident) || p.atPunct("(")) && !p.atKeyword("function") {
+		if !p.tok.NewlineBefore && (p.at(lexer.Ident) || p.atPunct(lexer.OpLParen)) && !p.atKeyword(lexer.OpFunction) {
 			if arrow, ok, err := p.tryParseArrowTail(start, true); err == nil && ok {
 				return arrow, true, nil
 			}
@@ -146,13 +183,16 @@ func (p *parser) tryParseArrow() (ast.Node, bool, error) {
 // position; it restores the parser state and reports ok=false when the input
 // is not an arrow function.
 func (p *parser) tryParseArrowTail(start int32, isAsync bool) (ast.Node, bool, error) {
-	if p.at(lexer.Ident) || (p.tok.Kind == lexer.Keyword && isContextualName(p.tok.StringValue)) {
+	if p.at(lexer.Ident) || isContextualName(p.tok.Op) {
 		save := p.save()
-		name := p.identHere(p.tok.StringValue)
 		if err := p.next(); err != nil {
 			return nil, false, err
 		}
-		if p.atPunct("=>") && !p.tok.NewlineBefore {
+		if p.atPunct(lexer.OpArrow) && !p.tok.NewlineBefore {
+			// The name node is built only once the arrow is certain, from
+			// the saved token.
+			name := ast.New(p.arena, ast.Identifier{Name: save.tok.StringValue})
+			name.SetRange(byteRange(save.tok.Start, save.tok.End))
 			params := []ast.Node{name}
 			arrow, err := p.parseArrowBody(start, params, isAsync)
 			if err != nil {
@@ -163,7 +203,7 @@ func (p *parser) tryParseArrowTail(start int32, isAsync bool) (ast.Node, bool, e
 		p.restore(save)
 		return nil, false, nil
 	}
-	if p.atPunct("(") {
+	if p.atPunct(lexer.OpLParen) {
 		// Memoize failed paren-head attempts by byte offset. Without this,
 		// nested cover-grammar input such as `(a = (b = (c = ...` is
 		// re-attempted as an arrow head once per enclosing retry, doubling
@@ -173,8 +213,8 @@ func (p *parser) tryParseArrowTail(start int32, isAsync bool) (ast.Node, bool, e
 			return nil, false, nil
 		}
 		save := p.save()
-		params, err := p.tryParseArrowParams()
-		if err == nil && p.atPunct("=>") && !p.tok.NewlineBefore {
+		params, ok := p.tryParseArrowParams()
+		if ok && p.atPunct(lexer.OpArrow) && !p.tok.NewlineBefore {
 			arrow, err := p.parseArrowBody(start, params, isAsync)
 			if err != nil {
 				return nil, false, err
@@ -192,35 +232,55 @@ func (p *parser) tryParseArrowTail(start int32, isAsync bool) (ast.Node, bool, e
 }
 
 // tryParseArrowParams parses `( bindings )` strictly as a parameter list.
-func (p *parser) tryParseArrowParams() ([]ast.Node, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
+// It reports false when the input is not one, without building an error:
+// the caller backtracks and discards a failed attempt either way, and every
+// parenthesized expression takes this path once.
+func (p *parser) tryParseArrowParams() ([]ast.Node, bool) {
+	if err := p.next(); err != nil { // '('
+		return nil, false
 	}
-	var params []ast.Node
-	for !p.atPunct(")") {
+	height := len(p.list)
+	for !p.atPunct(lexer.OpRParen) {
+		if !p.atBindingStart() {
+			return nil, false
+		}
 		param, err := p.parseParam()
 		if err != nil {
-			return nil, err
+			return nil, false
 		}
-		params = append(params, param)
-		if ok, err := p.eatPunct(","); err != nil {
-			return nil, err
-		} else if !ok {
+		p.push(param)
+		if !p.atPunct(lexer.OpComma) {
 			break
 		}
+		if err := p.next(); err != nil {
+			return nil, false
+		}
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
+	if !p.atPunct(lexer.OpRParen) {
+		return nil, false
 	}
-	return params, nil
+	if err := p.next(); err != nil {
+		return nil, false
+	}
+	return p.popList(height), true
+}
+
+// atBindingStart reports whether the current token can begin a parameter:
+// a name, a destructuring pattern or a rest element.
+func (p *parser) atBindingStart() bool {
+	switch p.tok.Op {
+	case lexer.OpLBracket, lexer.OpLBrace, lexer.OpEllipsis:
+		return true
+	}
+	return p.at(lexer.Ident) || isContextualName(p.tok.Op)
 }
 
 func (p *parser) parseArrowBody(start int32, params []ast.Node, isAsync bool) (ast.Node, error) {
-	if err := p.expectPunct("=>"); err != nil {
+	if err := p.expectPunct(lexer.OpArrow); err != nil {
 		return nil, err
 	}
 	arrow := ast.New(p.arena, ast.ArrowFunctionExpression{Params: params, Async: isAsync})
-	if p.atPunct("{") {
+	if p.atPunct(lexer.OpLBrace) {
 		body, err := p.parseBlock()
 		if err != nil {
 			return nil, err
@@ -243,7 +303,7 @@ func (p *parser) parseConditional(noIn bool) (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atPunct("?") {
+	if !p.atPunct(lexer.OpQuestion) {
 		return test, nil
 	}
 	if err := p.next(); err != nil {
@@ -253,7 +313,7 @@ func (p *parser) parseConditional(noIn bool) (ast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(":"); err != nil {
+	if err := p.expectPunct(lexer.OpColon); err != nil {
 		return nil, err
 	}
 	alt, err := p.parseAssignment(noIn)
@@ -263,58 +323,12 @@ func (p *parser) parseConditional(noIn bool) (ast.Node, error) {
 	return finish(p, ast.New(p.arena, ast.ConditionalExpression{Test: test, Consequent: cons, Alternate: alt}), start), nil
 }
 
-// binaryPrec maps binary/logical operators to precedence levels. Higher binds
-// tighter. Zero means "not a binary operator". The precedence climber asks
-// this for every operator position, so it is a string switch rather than a
-// map: no hashing, just length dispatch and a compare.
-//
-//jslint:hotpath
-func binaryPrec(op string) int {
-	switch op {
-	case "??":
-		return 1
-	case "||":
-		return 2
-	case "&&":
-		return 3
-	case "|":
-		return 4
-	case "^":
-		return 5
-	case "&":
-		return 6
-	case "==", "!=", "===", "!==":
-		return 7
-	case "<", ">", "<=", ">=", "in", "instanceof":
-		return 8
-	case "<<", ">>", ">>>":
-		return 9
-	case "+", "-":
-		return 10
-	case "*", "/", "%":
-		return 11
-	case "**":
-		return 12
-	}
-	return 0
-}
-
-func isLogicalOp(op string) bool { return op == "&&" || op == "||" || op == "??" }
-
-func (p *parser) binaryOp(noIn bool) (string, int) {
-	var op string
-	switch {
-	case p.tok.Kind == lexer.Punct:
-		op = p.tok.Lexeme
-	case p.atKeyword("in"):
-		if noIn {
-			return "", 0
-		}
-		op = "in"
-	case p.atKeyword("instanceof"):
-		op = "instanceof"
-	default:
-		return "", 0
+// binaryOp returns the operator at the current token and its precedence,
+// zero when the token is not a binary operator (or is `in` under noIn).
+func (p *parser) binaryOp(noIn bool) (lexer.Op, int) {
+	op := p.tok.Op
+	if op == lexer.OpIn && noIn {
+		return op, 0
 	}
 	return op, binaryPrec(op)
 }
@@ -336,7 +350,7 @@ func (p *parser) parseBinary(minPrec int, noIn bool) (ast.Node, error) {
 		}
 		// `**` is right-associative; everything else is left-associative.
 		nextMin := prec + 1
-		if op == "**" {
+		if op == lexer.OpExp {
 			nextMin = prec
 		}
 		right, err := p.parseBinary(nextMin, noIn)
@@ -344,19 +358,11 @@ func (p *parser) parseBinary(minPrec int, noIn bool) (ast.Node, error) {
 			return nil, err
 		}
 		if isLogicalOp(op) {
-			left = finish(p, ast.New(p.arena, ast.LogicalExpression{Operator: op, Left: left, Right: right}), start)
+			left = finish(p, ast.New(p.arena, ast.LogicalExpression{Operator: op.String(), Left: left, Right: right}), start)
 		} else {
-			left = finish(p, ast.New(p.arena, ast.BinaryExpression{Operator: op, Left: left, Right: right}), start)
+			left = finish(p, ast.New(p.arena, ast.BinaryExpression{Operator: op.String(), Left: left, Right: right}), start)
 		}
 	}
-}
-
-// isUnaryOp reports whether op is a (non-keyword) unary prefix operator.
-// parseUnary asks this for every operand, so it is a branch, not a map.
-//
-//jslint:hotpath
-func isUnaryOp(op string) bool {
-	return len(op) == 1 && (op[0] == '+' || op[0] == '-' || op[0] == '~' || op[0] == '!')
 }
 
 // parseUnary guards the recursion depth around parseUnaryInner. The wrapper
@@ -375,9 +381,8 @@ func (p *parser) parseUnary() (ast.Node, error) {
 func (p *parser) parseUnaryInner() (ast.Node, error) {
 	start := p.tok.Start
 
-	switch {
-	case p.tok.Kind == lexer.Punct && isUnaryOp(p.tok.Lexeme):
-		op := p.tok.Lexeme
+	switch op := p.tok.Op; {
+	case isUnaryOp(op):
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -385,9 +390,8 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, ast.New(p.arena, ast.UnaryExpression{Operator: op, Argument: arg}), start), nil
-	case p.atKeyword("typeof"), p.atKeyword("void"), p.atKeyword("delete"):
-		op := p.tok.StringValue
+		return finish(p, ast.New(p.arena, ast.UnaryExpression{Operator: op.String(), Argument: arg}), start), nil
+	case op == lexer.OpInc || op == lexer.OpDec:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -395,18 +399,8 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return finish(p, ast.New(p.arena, ast.UnaryExpression{Operator: op, Argument: arg}), start), nil
-	case p.atPunct("++"), p.atPunct("--"):
-		op := p.tok.Lexeme
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		arg, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return finish(p, ast.New(p.arena, ast.UpdateExpression{Operator: op, Argument: arg, Prefix: true}), start), nil
-	case p.atKeyword("await"):
+		return finish(p, ast.New(p.arena, ast.UpdateExpression{Operator: op.String(), Argument: arg, Prefix: true}), start), nil
+	case op == lexer.OpAwait:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -422,12 +416,11 @@ func (p *parser) parseUnaryInner() (ast.Node, error) {
 		return nil, err
 	}
 	// Postfix update; restricted production: no newline before ++/--.
-	if (p.atPunct("++") || p.atPunct("--")) && !p.tok.NewlineBefore {
-		op := p.tok.Lexeme
+	if op := p.tok.Op; (op == lexer.OpInc || op == lexer.OpDec) && !p.tok.NewlineBefore {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		return finish(p, ast.New(p.arena, ast.UpdateExpression{Operator: op, Argument: expr, Prefix: false}), start), nil
+		return finish(p, ast.New(p.arena, ast.UpdateExpression{Operator: op.String(), Argument: expr, Prefix: false}), start), nil
 	}
 	return expr, nil
 }
@@ -438,7 +431,7 @@ func (p *parser) parseLeftHandSide() (ast.Node, error) {
 	start := p.tok.Start
 	var expr ast.Node
 	var err error
-	if p.atKeyword("new") {
+	if p.atKeyword(lexer.OpNew) {
 		expr, err = p.parseNew()
 	} else {
 		expr, err = p.parsePrimary()
@@ -452,10 +445,10 @@ func (p *parser) parseLeftHandSide() (ast.Node, error) {
 func (p *parser) parseNew() (ast.Node, error) {
 	start := p.tok.Start
 	newEnd := p.tok.End
-	if err := p.expectKeyword("new"); err != nil {
+	if err := p.expectKeyword(lexer.OpNew); err != nil {
 		return nil, err
 	}
-	if p.atPunct(".") {
+	if p.atPunct(lexer.OpDot) {
 		// new.target
 		if err := p.next(); err != nil {
 			return nil, err
@@ -470,7 +463,7 @@ func (p *parser) parseNew() (ast.Node, error) {
 	}
 	var callee ast.Node
 	var err error
-	if p.atKeyword("new") {
+	if p.atKeyword(lexer.OpNew) {
 		callee, err = p.parseNew()
 	} else {
 		callee, err = p.parsePrimary()
@@ -484,7 +477,7 @@ func (p *parser) parseNew() (ast.Node, error) {
 		return nil, err
 	}
 	ne := ast.New(p.arena, ast.NewExpression{Callee: callee})
-	if p.atPunct("(") {
+	if p.atPunct(lexer.OpLParen) {
 		args, err := p.parseArguments()
 		if err != nil {
 			return nil, err
@@ -499,7 +492,7 @@ func (p *parser) parseNew() (ast.Node, error) {
 func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 	for {
 		switch {
-		case p.atPunct("."):
+		case p.atPunct(lexer.OpDot):
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -511,7 +504,7 @@ func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 				return nil, err
 			}
 			expr = finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop}), start)
-		case p.atPunct("["):
+		case p.atPunct(lexer.OpLBracket):
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -519,7 +512,7 @@ func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectPunct("]"); err != nil {
+			if err := p.expectPunct(lexer.OpRBracket); err != nil {
 				return nil, err
 			}
 			expr = finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop, Computed: true}), start)
@@ -533,25 +526,25 @@ func (p *parser) parseMemberTail(expr ast.Node, start int32) (ast.Node, error) {
 // and tagged templates.
 func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 	for {
-		switch {
-		case p.atPunct("."), p.atPunct("["):
+		switch p.tok.Op {
+		case lexer.OpDot, lexer.OpLBracket:
 			var err error
 			expr, err = p.parseMemberTailOne(expr, start)
 			if err != nil {
 				return nil, err
 			}
-		case p.atPunct("?."):
+		case lexer.OpOptChain:
 			if err := p.next(); err != nil {
 				return nil, err
 			}
 			switch {
-			case p.atPunct("("):
+			case p.atPunct(lexer.OpLParen):
 				args, err := p.parseArguments()
 				if err != nil {
 					return nil, err
 				}
 				expr = finish(p, ast.New(p.arena, ast.CallExpression{Callee: expr, Arguments: args, Optional: true}), start)
-			case p.atPunct("["):
+			case p.atPunct(lexer.OpLBracket):
 				if err := p.next(); err != nil {
 					return nil, err
 				}
@@ -559,7 +552,7 @@ func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				if err := p.expectPunct("]"); err != nil {
+				if err := p.expectPunct(lexer.OpRBracket); err != nil {
 					return nil, err
 				}
 				expr = finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop, Computed: true, Optional: true}), start)
@@ -573,26 +566,27 @@ func (p *parser) parseCallTail(expr ast.Node, start int32) (ast.Node, error) {
 				}
 				expr = finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop, Optional: true}), start)
 			}
-		case p.atPunct("("):
+		case lexer.OpLParen:
 			args, err := p.parseArguments()
 			if err != nil {
 				return nil, err
 			}
 			expr = finish(p, ast.New(p.arena, ast.CallExpression{Callee: expr, Arguments: args}), start)
-		case p.at(lexer.NoSubstTemplate), p.at(lexer.TemplateHead):
+		default:
+			if !p.at(lexer.NoSubstTemplate) && !p.at(lexer.TemplateHead) {
+				return expr, nil
+			}
 			quasi, err := p.parseTemplateLiteral()
 			if err != nil {
 				return nil, err
 			}
 			expr = finish(p, ast.New(p.arena, ast.TaggedTemplateExpression{Tag: expr, Quasi: quasi}), start)
-		default:
-			return expr, nil
 		}
 	}
 }
 
 func (p *parser) parseMemberTailOne(expr ast.Node, start int32) (ast.Node, error) {
-	if p.atPunct(".") {
+	if p.atPunct(lexer.OpDot) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -612,19 +606,19 @@ func (p *parser) parseMemberTailOne(expr ast.Node, start int32) (ast.Node, error
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("]"); err != nil {
+	if err := p.expectPunct(lexer.OpRBracket); err != nil {
 		return nil, err
 	}
 	return finish(p, ast.New(p.arena, ast.MemberExpression{Object: expr, Property: prop, Computed: true}), start), nil
 }
 
 func (p *parser) parseArguments() ([]ast.Node, error) {
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
-	var args []ast.Node
-	for !p.atPunct(")") {
-		if p.atPunct("...") {
+	height := len(p.list)
+	for !p.atPunct(lexer.OpRParen) {
+		if p.atPunct(lexer.OpEllipsis) {
 			sStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
@@ -633,24 +627,24 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			args = append(args, finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
+			p.push(finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
 		} else {
 			arg, err := p.parseAssignment(false)
 			if err != nil {
 				return nil, err
 			}
-			args = append(args, arg)
+			p.push(arg)
 		}
-		if !p.atPunct(")") {
-			if err := p.expectPunct(","); err != nil {
+		if !p.atPunct(lexer.OpRParen) {
+			if err := p.expectPunct(lexer.OpComma); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
-	return args, nil
+	return p.popList(height), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -659,6 +653,68 @@ func (p *parser) parseArguments() ([]ast.Node, error) {
 
 func (p *parser) parsePrimary() (ast.Node, error) {
 	start := p.tok.Start
+	switch p.tok.Op {
+	case lexer.OpLParen:
+		return p.parseParenExpression()
+	case lexer.OpLBracket:
+		return p.parseArrayLiteral()
+	case lexer.OpLBrace:
+		return p.parseObjectLiteral()
+	case lexer.OpThis:
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		return finish(p, ast.New(p.arena, ast.ThisExpression{}), start), nil
+	case lexer.OpSuper:
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		return finish(p, ast.New(p.arena, ast.Super{}), start), nil
+	case lexer.OpTrue, lexer.OpFalse:
+		lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralBoolean, Raw: p.tok.StringValue, Bool: p.tok.Op == lexer.OpTrue})
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		return finish(p, lit, start), nil
+	case lexer.OpNull:
+		lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralNull, Raw: "null"})
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		return finish(p, lit, start), nil
+	case lexer.OpFunction:
+		return p.parseFunctionExpression(false)
+	case lexer.OpClass:
+		return p.parseClassExpression()
+	case lexer.OpNew:
+		return p.parseNew()
+	case lexer.OpImport:
+		// Dynamic import `import(...)` or `import.meta`.
+		importEnd := p.tok.End
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		if p.atPunct(lexer.OpDot) {
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+			prop := p.identHere(p.tok.StringValue)
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+			meta := ast.New(p.arena, ast.Identifier{Name: "import"})
+			meta.SetRange(byteRange(start, importEnd))
+			return finish(p, ast.New(p.arena, ast.MetaProperty{Meta: meta, Property: prop}), start), nil
+		}
+		return finish(p, ast.New(p.arena, ast.Identifier{Name: "import"}), start), nil
+	case lexer.OpLet, lexer.OpYield, lexer.OpAwait:
+		// Sloppy-mode identifier usage.
+		id := ast.New(p.arena, ast.Identifier{Name: p.tok.StringValue})
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		return finish(p, id, start), nil
+	}
 	switch p.tok.Kind {
 	case lexer.Ident:
 		name := p.tok.StringValue
@@ -667,7 +723,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			if p.atKeyword("function") && !p.tok.NewlineBefore {
+			if p.atKeyword(lexer.OpFunction) && !p.tok.NewlineBefore {
 				fn, err := p.parseFunctionExpression(true)
 				if err != nil {
 					return nil, err
@@ -712,72 +768,7 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 		}
 		return finish(p, id, start), nil
 	case lexer.Keyword:
-		switch p.tok.StringValue {
-		case "this":
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			return finish(p, ast.New(p.arena, ast.ThisExpression{}), start), nil
-		case "super":
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			return finish(p, ast.New(p.arena, ast.Super{}), start), nil
-		case "true", "false":
-			lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralBoolean, Raw: p.tok.StringValue, Bool: p.tok.StringValue == "true"})
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			return finish(p, lit, start), nil
-		case "null":
-			lit := ast.New(p.arena, ast.Literal{Kind: ast.LiteralNull, Raw: "null"})
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			return finish(p, lit, start), nil
-		case "function":
-			return p.parseFunctionExpression(false)
-		case "class":
-			return p.parseClassExpression()
-		case "new":
-			return p.parseNew()
-		case "import":
-			// Dynamic import `import(...)` or `import.meta`.
-			importEnd := p.tok.End
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			if p.atPunct(".") {
-				if err := p.next(); err != nil {
-					return nil, err
-				}
-				prop := p.identHere(p.tok.StringValue)
-				if err := p.next(); err != nil {
-					return nil, err
-				}
-				meta := ast.New(p.arena, ast.Identifier{Name: "import"})
-				meta.SetRange(byteRange(start, importEnd))
-				return finish(p, ast.New(p.arena, ast.MetaProperty{Meta: meta, Property: prop}), start), nil
-			}
-			return finish(p, ast.New(p.arena, ast.Identifier{Name: "import"}), start), nil
-		case "let", "yield", "await":
-			// Sloppy-mode identifier usage.
-			id := ast.New(p.arena, ast.Identifier{Name: p.tok.StringValue})
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			return finish(p, id, start), nil
-		}
 		return nil, p.errorf("unexpected keyword %q", p.tok.Lexeme)
-	case lexer.Punct:
-		switch p.tok.Lexeme {
-		case "(":
-			return p.parseParenExpression()
-		case "[":
-			return p.parseArrayLiteral()
-		case "{":
-			return p.parseObjectLiteral()
-		}
 	}
 	return nil, p.errorf("unexpected token %q", p.tok.Lexeme)
 }
@@ -786,14 +777,14 @@ func (p *parser) parsePrimary() (ast.Node, error) {
 // recognized earlier by tryParseArrow, so here a parenthesized expression is
 // the only possibility.
 func (p *parser) parseParenExpression() (ast.Node, error) {
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
 	expr, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
 	return expr, nil
@@ -801,19 +792,20 @@ func (p *parser) parseParenExpression() (ast.Node, error) {
 
 func (p *parser) parseArrayLiteral() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectPunct("["); err != nil {
+	if err := p.expectPunct(lexer.OpLBracket); err != nil {
 		return nil, err
 	}
 	arr := ast.New(p.arena, ast.ArrayExpression{})
-	for !p.atPunct("]") {
-		if p.atPunct(",") {
-			arr.Elements = append(arr.Elements, nil) // elision
+	height := len(p.list)
+	for !p.atPunct(lexer.OpRBracket) {
+		if p.atPunct(lexer.OpComma) {
+			p.push(nil) // elision
 			if err := p.next(); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if p.atPunct("...") {
+		if p.atPunct(lexer.OpEllipsis) {
 			sStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
@@ -822,34 +814,36 @@ func (p *parser) parseArrayLiteral() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			arr.Elements = append(arr.Elements, finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
+			p.push(finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
 		} else {
 			el, err := p.parseAssignment(false)
 			if err != nil {
 				return nil, err
 			}
-			arr.Elements = append(arr.Elements, el)
+			p.push(el)
 		}
-		if !p.atPunct("]") {
-			if err := p.expectPunct(","); err != nil {
+		if !p.atPunct(lexer.OpRBracket) {
+			if err := p.expectPunct(lexer.OpComma); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.expectPunct("]"); err != nil {
+	if err := p.expectPunct(lexer.OpRBracket); err != nil {
 		return nil, err
 	}
+	arr.Elements = p.popList(height)
 	return finish(p, arr, start), nil
 }
 
 func (p *parser) parseObjectLiteral() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expectPunct(lexer.OpLBrace); err != nil {
 		return nil, err
 	}
 	obj := ast.New(p.arena, ast.ObjectExpression{})
-	for !p.atPunct("}") {
-		if p.atPunct("...") {
+	height := len(p.list)
+	for !p.atPunct(lexer.OpRBrace) {
+		if p.atPunct(lexer.OpEllipsis) {
 			sStart := p.tok.Start
 			if err := p.next(); err != nil {
 				return nil, err
@@ -858,23 +852,24 @@ func (p *parser) parseObjectLiteral() (ast.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			obj.Properties = append(obj.Properties, finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
+			p.push(finish(p, ast.New(p.arena, ast.SpreadElement{Argument: arg}), sStart))
 		} else {
 			prop, err := p.parseObjectProperty()
 			if err != nil {
 				return nil, err
 			}
-			obj.Properties = append(obj.Properties, prop)
+			p.push(prop)
 		}
-		if !p.atPunct("}") {
-			if err := p.expectPunct(","); err != nil {
+		if !p.atPunct(lexer.OpRBrace) {
+			if err := p.expectPunct(lexer.OpComma); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.expectPunct("}"); err != nil {
+	if err := p.expectPunct(lexer.OpRBrace); err != nil {
 		return nil, err
 	}
+	obj.Properties = p.popList(height)
 	return finish(p, obj, start), nil
 }
 
@@ -889,13 +884,13 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if p.atPunct("(") || p.atPunct(":") || p.atPunct(",") || p.atPunct("}") || p.atPunct("=") {
+		if p.atPunct(lexer.OpLParen) || p.atPunct(lexer.OpColon) || p.atPunct(lexer.OpComma) || p.atPunct(lexer.OpRBrace) || p.atPunct(lexer.OpAssign) {
 			p.restore(save) // plain property named async
 		} else {
 			isAsync = true
 		}
 	}
-	if p.atPunct("*") {
+	if p.atPunct(lexer.OpMul) {
 		isGen = true
 		if err := p.next(); err != nil {
 			return nil, err
@@ -907,7 +902,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if p.atPunct("(") || p.atPunct(":") || p.atPunct(",") || p.atPunct("}") || p.atPunct("=") {
+		if p.atPunct(lexer.OpLParen) || p.atPunct(lexer.OpColon) || p.atPunct(lexer.OpComma) || p.atPunct(lexer.OpRBrace) || p.atPunct(lexer.OpAssign) {
 			p.restore(save) // plain property named get/set
 		} else {
 			prop.Kind = accessor
@@ -922,7 +917,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 	prop.Computed = computed
 
 	switch {
-	case prop.Kind == "get" || prop.Kind == "set" || p.atPunct("("):
+	case prop.Kind == "get" || prop.Kind == "set" || p.atPunct(lexer.OpLParen):
 		// Method or accessor.
 		fStart := p.tok.Start
 		params, err := p.parseParams()
@@ -939,7 +934,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 		if prop.Kind == "init" {
 			prop.Method = true
 		}
-	case p.atPunct(":"):
+	case p.atPunct(lexer.OpColon):
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -955,7 +950,7 @@ func (p *parser) parseObjectProperty() (ast.Node, error) {
 			return nil, p.errorf("invalid shorthand property")
 		}
 		prop.Shorthand = true
-		if p.atPunct("=") {
+		if p.atPunct(lexer.OpAssign) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -982,16 +977,19 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		tpl.Quasis = append(tpl.Quasis, el)
+		tpl.Quasis = []*ast.TemplateElement{el}
 		finish(p, tpl, start)
 		return tpl, nil
 	}
 	if !p.at(lexer.TemplateHead) {
 		return nil, p.errorf("expected template literal")
 	}
+	// The parts go onto the list stack interleaved, quasi first:
+	// q0 e0 q1 e1 ... qn. popTemplate splits them.
+	height := len(p.list)
 	head := ast.New(p.arena, ast.TemplateElement{Raw: p.tok.Lexeme, Cooked: p.tok.StringValue})
 	head.SetRange(p.tokRange())
-	tpl.Quasis = append(tpl.Quasis, head)
+	p.push(head)
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -1000,8 +998,8 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		if err != nil {
 			return nil, err
 		}
-		tpl.Expressions = append(tpl.Expressions, expr)
-		if !p.atPunct("}") {
+		p.push(expr)
+		if !p.atPunct(lexer.OpRBrace) {
 			return nil, p.errorf("expected '}' in template substitution, found %q", p.tok.Lexeme)
 		}
 		tok, err := p.lex.RescanTemplateContinue(p.tok)
@@ -1013,16 +1011,34 @@ func (p *parser) parseTemplateLiteral() (*ast.TemplateLiteral, error) {
 		p.tok = tok
 		el := ast.New(p.arena, ast.TemplateElement{Raw: tok.Lexeme, Cooked: tok.StringValue, Tail: tok.Kind == lexer.TemplateTail})
 		el.SetRange(byteRange(tok.Start, tok.End))
-		tpl.Quasis = append(tpl.Quasis, el)
+		p.push(el)
 		isTail := tok.Kind == lexer.TemplateTail
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		if isTail {
+			tpl.Quasis, tpl.Expressions = p.popTemplate(height)
 			finish(p, tpl, start)
 			return tpl, nil
 		}
 	}
+}
+
+// popTemplate closes a template's parts, pushed as q0 e0 q1 ... qn above
+// height, into its exact-length quasi and expression lists.
+func (p *parser) popTemplate(height int) ([]*ast.TemplateElement, []ast.Node) {
+	items := p.list[height:]
+	quasis := make([]*ast.TemplateElement, len(items)/2+1)
+	exprs := make([]ast.Node, len(items)/2)
+	for i, n := range items {
+		if i%2 == 0 {
+			quasis[i/2] = n.(*ast.TemplateElement)
+		} else {
+			exprs[i/2] = n
+		}
+	}
+	p.truncList(height)
+	return quasis, exprs
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,6 +1053,9 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 	case *ast.ArrayExpression:
 		pat := ast.New(p.arena, ast.ArrayPattern{})
 		pat.SetRange(v.Range())
+		if len(v.Elements) > 0 {
+			pat.Elements = make([]ast.Node, 0, len(v.Elements))
+		}
 		for i, el := range v.Elements {
 			if el == nil {
 				pat.Elements = append(pat.Elements, nil)
@@ -1065,6 +1084,9 @@ func (p *parser) toPattern(expr ast.Node) (ast.Node, error) {
 	case *ast.ObjectExpression:
 		pat := ast.New(p.arena, ast.ObjectPattern{})
 		pat.SetRange(v.Range())
+		if len(v.Properties) > 0 {
+			pat.Properties = make([]ast.Node, 0, len(v.Properties))
+		}
 		for _, prop := range v.Properties {
 			switch pv := prop.(type) {
 			case *ast.SpreadElement:

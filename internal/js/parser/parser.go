@@ -64,6 +64,19 @@ type Result struct {
 	// lives in the Result (not the reusable parser) so a pooled parser
 	// cannot hand one file's nodes to the next.
 	arena ast.Arena
+
+	// src is the parsed source; text memoizes its byte statistics.
+	src      string
+	textOnce sync.Once
+	text     lexer.TextStats
+}
+
+// TextStats returns the byte statistics of the parsed source. The one pass
+// over the bytes runs the first time any consumer asks, so the rules'
+// Context and the hand-picked features share it.
+func (r *Result) TextStats() lexer.TextStats {
+	r.textOnce.Do(func() { r.text = lexer.ComputeTextStats(r.src) })
+	return r.text
 }
 
 // Session is a reusable parser. A Session parses one file at a time and
@@ -123,6 +136,7 @@ func (p *parser) reset(src string, collectTokens bool) {
 	p.depth = 0
 	clear(p.arrowFail)
 	p.arena = nil
+	p.dropList()
 }
 
 // checkSourceLen rejects a source too long for the int32 offsets that
@@ -140,7 +154,7 @@ func (p *parser) parse(src string, collectTokens, collectKinds bool) (res *Resul
 		return nil, err
 	}
 	p.reset(src, collectTokens)
-	out := &Result{}
+	out := &Result{src: src}
 	p.arena = &out.arena
 	if obs.Enabled() {
 		stop := obs.Time("parse.duration")
@@ -169,6 +183,8 @@ func (p *parser) parse(src string, collectTokens, collectKinds bool) (res *Resul
 	}
 	prog, err := p.parseProgram()
 	if err != nil {
+		// A failed parse leaves the open lists' items on the stack.
+		p.dropList()
 		return nil, locate(src, err)
 	}
 	out.Program = prog
@@ -239,6 +255,11 @@ type parser struct {
 	// depth guards against stack exhaustion on pathological nesting.
 	depth int
 
+	// list is the scratch stack node lists are built on (see push). Its
+	// backing array is reused across files; every slot at or above
+	// len(list) is nil, so it keeps no finished file's nodes reachable.
+	list []ast.Node
+
 	// arrowFail records byte offsets where a `(`-led arrow-head attempt
 	// already failed, so backtracking retries skip the re-attempt (keeps
 	// nested cover-grammar input from going exponential).
@@ -278,34 +299,33 @@ func (p *parser) errorf(format string, args ...any) error {
 
 // at, atPunct, and atKeyword test fields on p.tok directly rather than
 // going through the Token value-receiver helpers, which would copy the
-// whole 96-byte struct on every probe.
-func (p *parser) at(kind lexer.Kind) bool { return p.tok.Kind == kind }
-func (p *parser) atPunct(s string) bool {
-	return p.tok.Kind == lexer.Punct && p.tok.Lexeme == s
-}
-func (p *parser) atKeyword(s string) bool {
-	return p.tok.Kind == lexer.Keyword && p.tok.StringValue == s
-}
+// whole 96-byte struct on every probe. Punctuator and keyword codes share
+// one space and every other token carries OpNone, so atPunct and atKeyword
+// are the same one-byte compare; the two names say which kind the caller
+// expects.
+func (p *parser) at(kind lexer.Kind) bool    { return p.tok.Kind == kind }
+func (p *parser) atPunct(op lexer.Op) bool   { return p.tok.Op == op }
+func (p *parser) atKeyword(op lexer.Op) bool { return p.tok.Op == op }
 func (p *parser) atIdentName(s string) bool {
 	return p.tok.Kind == lexer.Ident && p.tok.StringValue == s
 }
 
-func (p *parser) expectPunct(s string) error {
-	if !p.atPunct(s) {
-		return p.errorf("expected %q, found %q", s, p.tok.Lexeme)
+func (p *parser) expectPunct(op lexer.Op) error {
+	if !p.atPunct(op) {
+		return p.errorf("expected %q, found %q", op.String(), p.tok.Lexeme)
 	}
 	return p.next()
 }
 
-func (p *parser) expectKeyword(s string) error {
-	if !p.atKeyword(s) {
-		return p.errorf("expected keyword %q, found %q", s, p.tok.Lexeme)
+func (p *parser) expectKeyword(op lexer.Op) error {
+	if !p.atKeyword(op) {
+		return p.errorf("expected keyword %q, found %q", op.String(), p.tok.Lexeme)
 	}
 	return p.next()
 }
 
-func (p *parser) eatPunct(s string) (bool, error) {
-	if p.atPunct(s) {
+func (p *parser) eatPunct(op lexer.Op) (bool, error) {
+	if p.atPunct(op) {
 		return true, p.next()
 	}
 	return false, nil
@@ -373,6 +393,54 @@ func (p *parser) cloneIdent(id *ast.Identifier) *ast.Identifier {
 	return c
 }
 
+// Node lists. Every list the parser builds (statement bodies, arguments,
+// parameters, elements, properties, declarations, switch cases, template
+// parts, specifiers) pushes its items onto p.list above the height it
+// opened at, and copies them out once, at exact length, when it closes, so
+// building a list never regrows a slice. Lists nest: an inner list opens
+// and closes above the outer list's items before the outer one pushes
+// again. save records the height and restore truncates back to it, so a
+// backtracked attempt leaves nothing on the stack.
+
+// push appends one item to the innermost open list.
+func (p *parser) push(n ast.Node) { p.list = append(p.list, n) }
+
+// truncList drops the items above height, clearing their slots.
+func (p *parser) truncList(height int) {
+	clear(p.list[height:])
+	p.list = p.list[:height]
+}
+
+// dropList empties the stack, after a parse that failed with lists open.
+func (p *parser) dropList() { p.truncList(0) }
+
+// popList closes the list opened at height: it returns the items above
+// height in a new exact-length slice (nil for an empty list, as appending
+// to a nil slice gave) and truncates the stack back to height.
+func (p *parser) popList(height int) []ast.Node {
+	items := p.list[height:]
+	if len(items) == 0 {
+		return nil
+	}
+	out := p.arena.List(items)
+	p.truncList(height)
+	return out
+}
+
+// popListOf is popList for a list of one concrete node type.
+func popListOf[T ast.Node](p *parser, height int) []T {
+	items := p.list[height:]
+	if len(items) == 0 {
+		return nil
+	}
+	out := make([]T, len(items))
+	for i, n := range items {
+		out[i] = n.(T)
+	}
+	p.truncList(height)
+	return out
+}
+
 // ---------------------------------------------------------------------------
 // Program and statements
 // ---------------------------------------------------------------------------
@@ -391,17 +459,17 @@ func (p *parser) parseProgram() (*ast.Program, error) {
 
 // parseStatementList parses statements until EOF (top) or '}'.
 func (p *parser) parseStatementList(top bool) ([]ast.Node, error) {
-	var body []ast.Node
+	height := len(p.list)
 	directives := true
 	for {
 		if p.at(lexer.EOF) {
 			if top {
-				return body, nil
+				return p.popList(height), nil
 			}
 			return nil, p.errorf("unexpected end of input")
 		}
-		if !top && p.atPunct("}") {
-			return body, nil
+		if !top && p.atPunct(lexer.OpRBrace) {
+			return p.popList(height), nil
 		}
 		stmt, err := p.parseStatement()
 		if err != nil {
@@ -418,7 +486,7 @@ func (p *parser) parseStatementList(top bool) ([]ast.Node, error) {
 				directives = false
 			}
 		}
-		body = append(body, stmt)
+		p.push(stmt)
 	}
 }
 
@@ -429,45 +497,45 @@ func (p *parser) parseStatement() (ast.Node, error) {
 	defer p.leave()
 
 	start := p.tok.Start
-	switch {
-	case p.atPunct("{"):
+	switch p.tok.Op {
+	case lexer.OpLBrace:
 		return p.parseBlock()
-	case p.atPunct(";"):
+	case lexer.OpSemicolon:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return finish(p, ast.New(p.arena, ast.EmptyStatement{}), start), nil
-	case p.atKeyword("var"), p.atKeyword("let"), p.atKeyword("const"):
+	case lexer.OpVar, lexer.OpLet, lexer.OpConst:
 		decl, err := p.parseVariableDeclaration(true)
 		if err != nil {
 			return nil, err
 		}
 		return decl, nil
-	case p.atKeyword("function"):
+	case lexer.OpFunction:
 		return p.parseFunctionDeclaration(false)
-	case p.atKeyword("class"):
+	case lexer.OpClass:
 		return p.parseClassDeclaration()
-	case p.atKeyword("if"):
+	case lexer.OpIf:
 		return p.parseIf()
-	case p.atKeyword("for"):
+	case lexer.OpFor:
 		return p.parseFor()
-	case p.atKeyword("while"):
+	case lexer.OpWhile:
 		return p.parseWhile()
-	case p.atKeyword("do"):
+	case lexer.OpDo:
 		return p.parseDoWhile()
-	case p.atKeyword("switch"):
+	case lexer.OpSwitch:
 		return p.parseSwitch()
-	case p.atKeyword("return"):
+	case lexer.OpReturn:
 		return p.parseReturn()
-	case p.atKeyword("throw"):
+	case lexer.OpThrow:
 		return p.parseThrow()
-	case p.atKeyword("try"):
+	case lexer.OpTry:
 		return p.parseTry()
-	case p.atKeyword("break"):
+	case lexer.OpBreak:
 		return p.parseBreakContinue(true)
-	case p.atKeyword("continue"):
+	case lexer.OpContinue:
 		return p.parseBreakContinue(false)
-	case p.atKeyword("debugger"):
+	case lexer.OpDebugger:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -475,19 +543,23 @@ func (p *parser) parseStatement() (ast.Node, error) {
 			return nil, err
 		}
 		return finish(p, ast.New(p.arena, ast.DebuggerStatement{}), start), nil
-	case p.atKeyword("with"):
+	case lexer.OpWith:
 		return p.parseWith()
-	case p.atKeyword("import"):
+	case lexer.OpImport:
 		return p.parseImport()
-	case p.atKeyword("export"):
+	case lexer.OpExport:
 		return p.parseExport()
-	case p.atIdentName("async"):
+	}
+	if !p.at(lexer.Ident) {
+		return p.parseExpressionStatement()
+	}
+	if p.tok.StringValue == "async" {
 		// `async function` declaration; otherwise fall through to expression.
 		save := p.save()
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if p.atKeyword("function") && !p.tok.NewlineBefore {
+		if p.atKeyword(lexer.OpFunction) && !p.tok.NewlineBefore {
 			fn, err := p.parseFunctionDeclaration(true)
 			if err != nil {
 				return nil, err
@@ -497,41 +569,38 @@ func (p *parser) parseStatement() (ast.Node, error) {
 		}
 		p.restore(save)
 		return p.parseExpressionStatement()
-	case p.at(lexer.Ident):
-		// Possible labeled statement: `ident :`.
-		save := p.save()
-		name := p.identHere(p.tok.StringValue)
+	}
+	// Possible labeled statement: `ident :`.
+	save := p.save()
+	name := p.identHere(p.tok.StringValue)
+	if err := p.next(); err != nil {
+		return nil, err
+	}
+	if p.atPunct(lexer.OpColon) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if p.atPunct(":") {
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			body, err := p.parseStatement()
-			if err != nil {
-				return nil, err
-			}
-			lbl := ast.New(p.arena, ast.LabeledStatement{Label: name, Body: body})
-			return finish(p, lbl, start), nil
+		body, err := p.parseStatement()
+		if err != nil {
+			return nil, err
 		}
-		p.restore(save)
-		return p.parseExpressionStatement()
-	default:
-		return p.parseExpressionStatement()
+		lbl := ast.New(p.arena, ast.LabeledStatement{Label: name, Body: body})
+		return finish(p, lbl, start), nil
 	}
+	p.restore(save)
+	return p.parseExpressionStatement()
 }
 
 func (p *parser) parseBlock() (*ast.BlockStatement, error) {
 	start := p.tok.Start
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expectPunct(lexer.OpLBrace); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStatementList(false)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("}"); err != nil {
+	if err := p.expectPunct(lexer.OpRBrace); err != nil {
 		return nil, err
 	}
 	blk := ast.New(p.arena, ast.BlockStatement{Body: body})
@@ -553,10 +622,10 @@ func (p *parser) parseExpressionStatement() (ast.Node, error) {
 
 // consumeSemicolon applies automatic semicolon insertion.
 func (p *parser) consumeSemicolon() error {
-	if p.atPunct(";") {
+	if p.atPunct(lexer.OpSemicolon) {
 		return p.next()
 	}
-	if p.atPunct("}") || p.at(lexer.EOF) || p.tok.NewlineBefore {
+	if p.atPunct(lexer.OpRBrace) || p.at(lexer.EOF) || p.tok.NewlineBefore {
 		return nil
 	}
 	return p.errorf("missing semicolon before %q", p.tok.Lexeme)
@@ -569,6 +638,7 @@ func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclar
 		return nil, err
 	}
 	decl := ast.New(p.arena, ast.VariableDeclaration{Kind: kind})
+	height := len(p.list)
 	for {
 		dStart := p.tok.Start
 		id, err := p.parseBindingTarget()
@@ -576,7 +646,7 @@ func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclar
 			return nil, err
 		}
 		d := ast.New(p.arena, ast.VariableDeclarator{ID: id})
-		if ok, err := p.eatPunct("="); err != nil {
+		if ok, err := p.eatPunct(lexer.OpAssign); err != nil {
 			return nil, err
 		} else if ok {
 			init, err := p.parseAssignment(false)
@@ -586,13 +656,14 @@ func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclar
 			d.Init = init
 		}
 		finish(p, d, dStart)
-		decl.Declarations = append(decl.Declarations, d)
-		if ok, err := p.eatPunct(","); err != nil {
+		p.push(d)
+		if ok, err := p.eatPunct(lexer.OpComma); err != nil {
 			return nil, err
 		} else if !ok {
 			break
 		}
 	}
+	decl.Declarations = popListOf[*ast.VariableDeclarator](p, height)
 	if consumeSemi {
 		if err := p.consumeSemicolon(); err != nil {
 			return nil, err
@@ -604,17 +675,17 @@ func (p *parser) parseVariableDeclaration(consumeSemi bool) (*ast.VariableDeclar
 
 func (p *parser) parseIf() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("if"); err != nil {
+	if err := p.expectKeyword(lexer.OpIf); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
 	test, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
 	cons, err := p.parseStatement()
@@ -622,7 +693,7 @@ func (p *parser) parseIf() (ast.Node, error) {
 		return nil, err
 	}
 	stmt := ast.New(p.arena, ast.IfStatement{Test: test, Consequent: cons})
-	if p.atKeyword("else") {
+	if p.atKeyword(lexer.OpElse) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -637,17 +708,17 @@ func (p *parser) parseIf() (ast.Node, error) {
 
 func (p *parser) parseWhile() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("while"); err != nil {
+	if err := p.expectKeyword(lexer.OpWhile); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
 	test, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStatement()
@@ -659,28 +730,28 @@ func (p *parser) parseWhile() (ast.Node, error) {
 
 func (p *parser) parseDoWhile() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("do"); err != nil {
+	if err := p.expectKeyword(lexer.OpDo); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStatement()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("while"); err != nil {
+	if err := p.expectKeyword(lexer.OpWhile); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
 	test, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
 	// The semicolon after do-while is always optional.
-	if _, err := p.eatPunct(";"); err != nil {
+	if _, err := p.eatPunct(lexer.OpSemicolon); err != nil {
 		return nil, err
 	}
 	return finish(p, ast.New(p.arena, ast.DoWhileStatement{Body: body, Test: test}), start), nil
@@ -688,25 +759,25 @@ func (p *parser) parseDoWhile() (ast.Node, error) {
 
 func (p *parser) parseFor() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("for"); err != nil {
+	if err := p.expectKeyword(lexer.OpFor); err != nil {
 		return nil, err
 	}
 	isAwait := false
-	if p.atKeyword("await") {
+	if p.atKeyword(lexer.OpAwait) {
 		isAwait = true
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
 
 	var init ast.Node
 	switch {
-	case p.atPunct(";"):
+	case p.atPunct(lexer.OpSemicolon):
 		// no init
-	case p.atKeyword("var"), p.atKeyword("let"), p.atKeyword("const"):
+	case p.atKeyword(lexer.OpVar), p.atKeyword(lexer.OpLet), p.atKeyword(lexer.OpConst):
 		decl, err := p.parseForDeclaration()
 		if err != nil {
 			return nil, err
@@ -720,7 +791,7 @@ func (p *parser) parseFor() (ast.Node, error) {
 		init = expr
 	}
 
-	if p.atKeyword("in") {
+	if p.atKeyword(lexer.OpIn) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -732,7 +803,7 @@ func (p *parser) parseFor() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(")"); err != nil {
+		if err := p.expectPunct(lexer.OpRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.parseStatement()
@@ -753,7 +824,7 @@ func (p *parser) parseFor() (ast.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(")"); err != nil {
+		if err := p.expectPunct(lexer.OpRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.parseStatement()
@@ -763,28 +834,28 @@ func (p *parser) parseFor() (ast.Node, error) {
 		return finish(p, ast.New(p.arena, ast.ForOfStatement{Left: left, Right: right, Body: body, Await: isAwait}), start), nil
 	}
 
-	if err := p.expectPunct(";"); err != nil {
+	if err := p.expectPunct(lexer.OpSemicolon); err != nil {
 		return nil, err
 	}
 	var test, update ast.Node
-	if !p.atPunct(";") {
+	if !p.atPunct(lexer.OpSemicolon) {
 		t, err := p.parseExpression(false)
 		if err != nil {
 			return nil, err
 		}
 		test = t
 	}
-	if err := p.expectPunct(";"); err != nil {
+	if err := p.expectPunct(lexer.OpSemicolon); err != nil {
 		return nil, err
 	}
-	if !p.atPunct(")") {
+	if !p.atPunct(lexer.OpRParen) {
 		u, err := p.parseExpression(false)
 		if err != nil {
 			return nil, err
 		}
 		update = u
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStatement()
@@ -803,6 +874,7 @@ func (p *parser) parseForDeclaration() (*ast.VariableDeclaration, error) {
 		return nil, err
 	}
 	decl := ast.New(p.arena, ast.VariableDeclaration{Kind: kind})
+	height := len(p.list)
 	for {
 		dStart := p.tok.Start
 		id, err := p.parseBindingTarget()
@@ -810,7 +882,7 @@ func (p *parser) parseForDeclaration() (*ast.VariableDeclaration, error) {
 			return nil, err
 		}
 		d := ast.New(p.arena, ast.VariableDeclarator{ID: id})
-		if ok, err := p.eatPunct("="); err != nil {
+		if ok, err := p.eatPunct(lexer.OpAssign); err != nil {
 			return nil, err
 		} else if ok {
 			init, err := p.parseAssignmentNoIn()
@@ -820,13 +892,14 @@ func (p *parser) parseForDeclaration() (*ast.VariableDeclaration, error) {
 			d.Init = init
 		}
 		finish(p, d, dStart)
-		decl.Declarations = append(decl.Declarations, d)
-		if ok, err := p.eatPunct(","); err != nil {
+		p.push(d)
+		if ok, err := p.eatPunct(lexer.OpComma); err != nil {
 			return nil, err
 		} else if !ok {
 			break
 		}
 	}
+	decl.Declarations = popListOf[*ast.VariableDeclarator](p, height)
 	finish(p, decl, start)
 	return decl, nil
 }
@@ -844,27 +917,28 @@ func (p *parser) forTarget(init ast.Node) (ast.Node, error) {
 
 func (p *parser) parseSwitch() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("switch"); err != nil {
+	if err := p.expectKeyword(lexer.OpSwitch); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
 	disc, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expectPunct(lexer.OpLBrace); err != nil {
 		return nil, err
 	}
 	sw := ast.New(p.arena, ast.SwitchStatement{Discriminant: disc})
-	for !p.atPunct("}") {
+	cases := len(p.list)
+	for !p.atPunct(lexer.OpRBrace) {
 		cStart := p.tok.Start
 		c := ast.New(p.arena, ast.SwitchCase{})
-		if p.atKeyword("case") {
+		if p.atKeyword(lexer.OpCase) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -873,27 +947,30 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 				return nil, err
 			}
 			c.Test = test
-		} else if p.atKeyword("default") {
+		} else if p.atKeyword(lexer.OpDefault) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
 		} else {
 			return nil, p.errorf("expected case or default, found %q", p.tok.Lexeme)
 		}
-		if err := p.expectPunct(":"); err != nil {
+		if err := p.expectPunct(lexer.OpColon); err != nil {
 			return nil, err
 		}
-		for !p.atPunct("}") && !p.atKeyword("case") && !p.atKeyword("default") {
+		body := len(p.list)
+		for !p.atPunct(lexer.OpRBrace) && !p.atKeyword(lexer.OpCase) && !p.atKeyword(lexer.OpDefault) {
 			stmt, err := p.parseStatement()
 			if err != nil {
 				return nil, err
 			}
-			c.Consequent = append(c.Consequent, stmt)
+			p.push(stmt)
 		}
+		c.Consequent = p.popList(body)
 		finish(p, c, cStart)
-		sw.Cases = append(sw.Cases, c)
+		p.push(c)
 	}
-	if err := p.expectPunct("}"); err != nil {
+	sw.Cases = popListOf[*ast.SwitchCase](p, cases)
+	if err := p.expectPunct(lexer.OpRBrace); err != nil {
 		return nil, err
 	}
 	return finish(p, sw, start), nil
@@ -901,12 +978,12 @@ func (p *parser) parseSwitch() (ast.Node, error) {
 
 func (p *parser) parseReturn() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("return"); err != nil {
+	if err := p.expectKeyword(lexer.OpReturn); err != nil {
 		return nil, err
 	}
 	ret := ast.New(p.arena, ast.ReturnStatement{})
 	// Restricted production: a newline after `return` terminates it.
-	if !p.tok.NewlineBefore && !p.atPunct(";") && !p.atPunct("}") && !p.at(lexer.EOF) {
+	if !p.tok.NewlineBefore && !p.atPunct(lexer.OpSemicolon) && !p.atPunct(lexer.OpRBrace) && !p.at(lexer.EOF) {
 		arg, err := p.parseExpression(false)
 		if err != nil {
 			return nil, err
@@ -921,7 +998,7 @@ func (p *parser) parseReturn() (ast.Node, error) {
 
 func (p *parser) parseThrow() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("throw"); err != nil {
+	if err := p.expectKeyword(lexer.OpThrow); err != nil {
 		return nil, err
 	}
 	if p.tok.NewlineBefore {
@@ -939,7 +1016,7 @@ func (p *parser) parseThrow() (ast.Node, error) {
 
 func (p *parser) parseTry() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("try"); err != nil {
+	if err := p.expectKeyword(lexer.OpTry); err != nil {
 		return nil, err
 	}
 	block, err := p.parseBlock()
@@ -947,13 +1024,13 @@ func (p *parser) parseTry() (ast.Node, error) {
 		return nil, err
 	}
 	stmt := ast.New(p.arena, ast.TryStatement{Block: block})
-	if p.atKeyword("catch") {
+	if p.atKeyword(lexer.OpCatch) {
 		cStart := p.tok.Start
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		clause := ast.New(p.arena, ast.CatchClause{})
-		if ok, err := p.eatPunct("("); err != nil {
+		if ok, err := p.eatPunct(lexer.OpLParen); err != nil {
 			return nil, err
 		} else if ok {
 			param, err := p.parseBindingTarget()
@@ -961,7 +1038,7 @@ func (p *parser) parseTry() (ast.Node, error) {
 				return nil, err
 			}
 			clause.Param = param
-			if err := p.expectPunct(")"); err != nil {
+			if err := p.expectPunct(lexer.OpRParen); err != nil {
 				return nil, err
 			}
 		}
@@ -973,7 +1050,7 @@ func (p *parser) parseTry() (ast.Node, error) {
 		finish(p, clause, cStart)
 		stmt.Handler = clause
 	}
-	if p.atKeyword("finally") {
+	if p.atKeyword(lexer.OpFinally) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -1012,17 +1089,17 @@ func (p *parser) parseBreakContinue(isBreak bool) (ast.Node, error) {
 
 func (p *parser) parseWith() (ast.Node, error) {
 	start := p.tok.Start
-	if err := p.expectKeyword("with"); err != nil {
+	if err := p.expectKeyword(lexer.OpWith); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expectPunct(lexer.OpLParen); err != nil {
 		return nil, err
 	}
 	obj, err := p.parseExpression(false)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expectPunct(lexer.OpRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStatement()
