@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/js/ast"
+	"repro/internal/js/lexer"
 	"repro/internal/js/parser"
 	"repro/internal/obs"
 )
@@ -110,16 +111,21 @@ type Context struct {
 	Graph *flow.Graph
 
 	statsOnce sync.Once
-	stats     TextStats
+	stats     lexer.TextStats
 	// lines resolves reported ranges; it is built on the first report, so
 	// a file with no finding never builds it.
 	lines *ast.Lines
 }
 
-// Stats returns the whole-source text statistics, computed once per Context
-// no matter how many source-level rules consult them.
-func (c *Context) Stats() TextStats {
-	c.statsOnce.Do(func() { c.stats = ComputeTextStats(c.Src) })
+// Stats returns the whole-source text statistics, computed once no matter
+// how many source-level rules consult them. With a parse result they are
+// the Result's, so the hand-picked features reuse the same pass; Src must
+// then be the source Result was parsed from.
+func (c *Context) Stats() lexer.TextStats {
+	if c.Result != nil {
+		return c.Result.TextStats()
+	}
+	c.statsOnce.Do(func() { c.stats = lexer.ComputeTextStats(c.Src) })
 	return c.stats
 }
 

@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/js/lexer"
 )
 
 // refTextStats is the per-byte branching loop ComputeTextStats replaced; the
 // two must agree exactly, since the hand-picked features read these values.
-func refTextStats(src string) TextStats {
-	st := TextStats{Lines: 1, MaxLine: 0}
+func refTextStats(src string) lexer.TextStats {
+	st := lexer.TextStats{Lines: 1, MaxLine: 0}
 	if len(src) == 0 {
 		st.Lines = 0
 		return st
@@ -68,7 +70,7 @@ func TestComputeTextStatsMatchesByteLoop(t *testing.T) {
 		"lines":            strings.Repeat("a[ \n", 1000),
 	}
 	for name, src := range inputs {
-		if got, want := ComputeTextStats(src), refTextStats(src); got != want {
+		if got, want := lexer.ComputeTextStats(src), refTextStats(src); got != want {
 			t.Errorf("%s: ComputeTextStats = %+v, want %+v", name, got, want)
 		}
 	}

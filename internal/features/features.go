@@ -277,8 +277,9 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 		panic("unknown hand-picked feature " + name)
 	}
 
-	// One pass over the bytes; an empty source still counts as one line.
-	text := analysis.ComputeTextStats(src)
+	// One pass over the bytes, shared with the rules through the parse
+	// result; an empty source still counts as one line.
+	text := res.TextStats()
 	lines, newlines := text.Lines, text.Lines-1
 	if lines == 0 {
 		lines, newlines = 1, 0
