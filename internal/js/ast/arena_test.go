@@ -72,3 +72,38 @@ func TestArenaPerKindIsolation(t *testing.T) {
 		t.Fatalf("arena node lost its children")
 	}
 }
+
+// TestArenaListExactLength: List copies its items at exact length, so an
+// append to one list reallocates instead of overwriting the next list in
+// the same chunk; an empty list is nil and a list past the chunk size gets
+// its own storage.
+func TestArenaListExactLength(t *testing.T) {
+	var a Arena
+	if got := a.List(nil); got != nil {
+		t.Fatalf("empty list = %v, want nil", got)
+	}
+	x, y := New(&a, Identifier{Name: "x"}), New(&a, Identifier{Name: "y"})
+	var lists [][]Node
+	for n := 1; n <= 2*arenaChunkMax+1; n = 2*n + 1 {
+		items := make([]Node, n)
+		for i := range items {
+			items[i] = x
+		}
+		l := a.List(items)
+		if len(l) != n || cap(l) != n {
+			t.Fatalf("list of %d: len %d cap %d", n, len(l), cap(l))
+		}
+		items[0] = y // the list owns a copy
+		lists = append(lists, l)
+	}
+	for _, l := range lists {
+		_ = append(l, y)
+	}
+	for i, l := range lists {
+		for j, n := range l {
+			if n != x {
+				t.Fatalf("list %d item %d = %v, want x", i, j, n)
+			}
+		}
+	}
+}

@@ -97,10 +97,6 @@ type Token struct {
 // IsPunct reports whether the token is the given punctuator.
 func (t Token) IsPunct(s string) bool { return t.Kind == Punct && t.Lexeme == s }
 
-// IsKeyword reports whether the token is the given keyword. It compares the
-// decoded StringValue, so escaped spellings like \u0069f still match.
-func (t Token) IsKeyword(s string) bool { return t.Kind == Keyword && t.StringValue == s }
-
 // Comment is a source comment, retained for token-level features such as the
 // comment-to-code ratio that distinguishes minified from regular scripts.
 type Comment struct {

@@ -136,7 +136,7 @@ func (p *parser) reset(src string, collectTokens bool) {
 	p.depth = 0
 	clear(p.arrowFail)
 	p.arena = nil
-	p.dropList()
+	p.truncList(0)
 }
 
 // checkSourceLen rejects a source too long for the int32 offsets that
@@ -184,7 +184,7 @@ func (p *parser) parse(src string, collectTokens, collectKinds bool) (res *Resul
 	prog, err := p.parseProgram()
 	if err != nil {
 		// A failed parse leaves the open lists' items on the stack.
-		p.dropList()
+		p.truncList(0)
 		return nil, locate(src, err)
 	}
 	out.Program = prog
@@ -411,23 +411,17 @@ func (p *parser) truncList(height int) {
 	p.list = p.list[:height]
 }
 
-// dropList empties the stack, after a parse that failed with lists open.
-func (p *parser) dropList() { p.truncList(0) }
-
-// popList closes the list opened at height: it returns the items above
-// height in a new exact-length slice (nil for an empty list, as appending
-// to a nil slice gave) and truncates the stack back to height.
+// popList closes the list opened at height: it copies the items above
+// height into the arena at exact length (nil for an empty list) and
+// truncates the stack back to height.
 func (p *parser) popList(height int) []ast.Node {
-	items := p.list[height:]
-	if len(items) == 0 {
-		return nil
-	}
-	out := p.arena.List(items)
+	out := p.arena.List(p.list[height:])
 	p.truncList(height)
 	return out
 }
 
-// popListOf is popList for a list of one concrete node type.
+// popListOf is popList for a list of one concrete node type, which gets
+// its own exact-length slice.
 func popListOf[T ast.Node](p *parser, height int) []T {
 	items := p.list[height:]
 	if len(items) == 0 {
