@@ -1,14 +1,12 @@
-// Package benchfmt parses `go test -bench` output into a schema'd baseline
-// file and diffs two baselines with tolerance gates. It is the library under
-// cmd/benchreg and scripts/bench.sh: benchmarks run once, land in a
-// BENCH_<n>.json trajectory file, and later runs are compared against the
-// last checked-in baseline so hot-path regressions fail the pre-merge gate
-// instead of shipping silently.
+// Package benchfmt parses `go test -bench` output and judges paired runs.
+// It is the library under cmd/benchreg and scripts/bench.sh: a run lands in
+// a schema'd BENCH_<n>.json trajectory file as a record, and the perf gate
+// compares alternating runs of a base build and a head build, pair by pair,
+// so the host's drift between minutes cancels out of the verdict.
 package benchfmt
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -56,16 +54,6 @@ type File struct {
 	// Note is free-form provenance (flags, BENCH_SCALE, ...).
 	Note    string   `json:"note,omitempty"`
 	Results []Result `json:"results"`
-}
-
-// Lookup returns the named result.
-func (f *File) Lookup(name string) (Result, bool) {
-	for _, r := range f.Results {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Result{}, false
 }
 
 // measurement is one parsed benchmark line before aggregation.
@@ -199,189 +187,4 @@ func aggregate(ms []measurement) []Result {
 		out = append(out, *r)
 	}
 	return out
-}
-
-// Verdict classifies one compared benchmark.
-type Verdict int
-
-// Comparison verdicts.
-const (
-	// VerdictOK means the new time is within tolerance of the baseline.
-	VerdictOK Verdict = iota
-	// VerdictImproved means the new time beat the baseline by more than
-	// the tolerance.
-	VerdictImproved
-	// VerdictRegressed means the new time exceeds the baseline by more
-	// than the tolerance.
-	VerdictRegressed
-	// VerdictMissing means the baseline benchmark did not run this time.
-	VerdictMissing
-	// VerdictNew means the benchmark has no baseline entry yet.
-	VerdictNew
-)
-
-// String renders the verdict for the diff table.
-func (v Verdict) String() string {
-	switch v {
-	case VerdictOK:
-		return "ok"
-	case VerdictImproved:
-		return "improved"
-	case VerdictRegressed:
-		return "REGRESSED"
-	case VerdictMissing:
-		return "missing"
-	case VerdictNew:
-		return "new"
-	default:
-		return "?"
-	}
-}
-
-// Delta is one benchmark's baseline-vs-current comparison across the three
-// gated columns: ns/op, allocs/op, and B/op.
-type Delta struct {
-	Name    string
-	Old     float64 // baseline ns/op (0 when VerdictNew)
-	New     float64 // current ns/op (0 when VerdictMissing)
-	Ratio   float64 // New/Old - 1 (signed relative change)
-	Verdict Verdict
-	// OldAllocs/NewAllocs/AllocRatio mirror the ns/op fields for allocs/op;
-	// a zero ratio with zero olds means the column had no -benchmem data.
-	OldAllocs, NewAllocs, AllocRatio float64
-	// OldBytes/NewBytes/BytesRatio do the same for B/op.
-	OldBytes, NewBytes, BytesRatio float64
-	// Regressions names the columns that exceeded their tolerance
-	// ("ns/op", "allocs/op", "B/op"); non-empty iff Verdict is regressed.
-	Regressions []string
-}
-
-// ratio returns new/old - 1, or 0 when the baseline column is empty.
-func ratio(old, new float64) float64 {
-	if old <= 0 {
-		return 0
-	}
-	return new/old - 1
-}
-
-// Compare diffs current against baseline: a relative tolerance on ns/op
-// (0.15 = fail beyond +15%) and a separate allocTolerance shared by the
-// allocs/op and B/op columns (allocation counts are near-deterministic, so
-// their tolerance is typically tighter; a negative allocTolerance disables
-// memory gating). A benchmark regresses when any gated column exceeds its
-// tolerance. Benchmarks only present on one side are reported as missing/new,
-// never as failures, and columns without -benchmem data on both sides are not
-// gated.
-func Compare(baseline, current []Result, tolerance, allocTolerance float64) []Delta {
-	cur := make(map[string]Result, len(current))
-	for _, r := range current {
-		cur[r.Name] = r
-	}
-	var out []Delta
-	seen := make(map[string]bool)
-	for _, b := range baseline {
-		seen[b.Name] = true
-		c, ok := cur[b.Name]
-		if !ok {
-			out = append(out, Delta{Name: b.Name, Old: b.NsPerOp, Verdict: VerdictMissing})
-			continue
-		}
-		d := Delta{
-			Name: b.Name,
-			Old:  b.NsPerOp, New: c.NsPerOp, Ratio: ratio(b.NsPerOp, c.NsPerOp),
-			OldAllocs: b.AllocsPerOp, NewAllocs: c.AllocsPerOp,
-			AllocRatio: ratio(b.AllocsPerOp, c.AllocsPerOp),
-			OldBytes:   b.BytesPerOp, NewBytes: c.BytesPerOp,
-			BytesRatio: ratio(b.BytesPerOp, c.BytesPerOp),
-		}
-		if d.Ratio > tolerance {
-			d.Regressions = append(d.Regressions, "ns/op")
-		}
-		if allocTolerance >= 0 && b.AllocsPerOp > 0 && c.AllocsPerOp > 0 && d.AllocRatio > allocTolerance {
-			d.Regressions = append(d.Regressions, "allocs/op")
-		}
-		if allocTolerance >= 0 && b.BytesPerOp > 0 && c.BytesPerOp > 0 && d.BytesRatio > allocTolerance {
-			d.Regressions = append(d.Regressions, "B/op")
-		}
-		switch {
-		case len(d.Regressions) > 0:
-			d.Verdict = VerdictRegressed
-		case d.Ratio < -tolerance:
-			d.Verdict = VerdictImproved
-		default:
-			d.Verdict = VerdictOK
-		}
-		out = append(out, d)
-	}
-	for _, c := range current {
-		if !seen[c.Name] {
-			out = append(out, Delta{Name: c.Name, New: c.NsPerOp, Verdict: VerdictNew})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// AnyRegressed reports whether the diff contains a regression.
-func AnyRegressed(deltas []Delta) bool {
-	for _, d := range deltas {
-		if d.Verdict == VerdictRegressed {
-			return true
-		}
-	}
-	return false
-}
-
-// memCell renders one memory column as a compact "old→new (+x%)" cell, or
-// "-" when either side lacks -benchmem data.
-func memCell(old, new, ratio float64) string {
-	if old <= 0 && new <= 0 {
-		return "-"
-	}
-	if old <= 0 || new <= 0 {
-		return fmt.Sprintf("%.0f→%.0f", old, new)
-	}
-	return fmt.Sprintf("%.0f→%.0f (%+.1f%%)", old, new, 100*ratio)
-}
-
-// WriteDiff renders the comparison as an aligned table. The ns/op columns are
-// always present; allocs/op and B/op cells show "old→new (+x%)" when
-// -benchmem data exists on both sides. Regressed rows name the offending
-// columns next to the verdict.
-func WriteDiff(w io.Writer, deltas []Delta, tolerance, allocTolerance float64) {
-	width := len("benchmark")
-	for _, d := range deltas {
-		if len(d.Name) > width {
-			width = len(d.Name)
-		}
-	}
-	fmt.Fprintf(w, "%-*s %14s %14s %8s %26s %30s  %s\n",
-		width, "benchmark", "old ns/op", "new ns/op", "delta", "allocs/op", "B/op", "verdict")
-	for _, d := range deltas {
-		old, new := "-", "-"
-		if d.Verdict != VerdictNew {
-			old = fmt.Sprintf("%.0f", d.Old)
-		}
-		if d.Verdict != VerdictMissing {
-			new = fmt.Sprintf("%.0f", d.New)
-		}
-		delta, allocs, bytes := "-", "-", "-"
-		if d.Verdict != VerdictNew && d.Verdict != VerdictMissing {
-			delta = fmt.Sprintf("%+.1f%%", 100*d.Ratio)
-			allocs = memCell(d.OldAllocs, d.NewAllocs, d.AllocRatio)
-			bytes = memCell(d.OldBytes, d.NewBytes, d.BytesRatio)
-		}
-		verdict := d.Verdict.String()
-		if len(d.Regressions) > 0 {
-			verdict += " (" + strings.Join(d.Regressions, ", ") + ")"
-		}
-		fmt.Fprintf(w, "%-*s %14s %14s %8s %26s %30s  %s\n",
-			width, d.Name, old, new, delta, allocs, bytes, verdict)
-	}
-	if allocTolerance >= 0 {
-		fmt.Fprintf(w, "tolerance: ±%.0f%% on ns/op, ±%.0f%% on allocs/op and B/op\n",
-			100*tolerance, 100*allocTolerance)
-	} else {
-		fmt.Fprintf(w, "tolerance: ±%.0f%% on ns/op (memory gating off)\n", 100*tolerance)
-	}
 }

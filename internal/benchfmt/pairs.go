@@ -3,13 +3,18 @@ package benchfmt
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
-// PairMetrics are the columns a paired A/B run compares. Lower is better in
-// each: ns/op and cpu-ns/op (the stage benchmarks' process CPU time per op)
-// are costs, as are the -benchmem columns.
-var PairMetrics = []string{"ns/op", "cpu-ns/op", "B/op", "allocs/op"}
+// PairMetrics are the columns a paired A/B run compares and gates. Lower is
+// better in each.
+var PairMetrics = []string{"ns/op", "B/op", "allocs/op"}
+
+// MemBound is the largest median head/base ratio of B/op or allocs/op the
+// gate passes. Allocation counts are near-deterministic, so unlike ns/op
+// this bound does not depend on the host and is not a knob.
+const MemBound = 1.10
 
 // PairStat summarizes one benchmark's metric over pairs of runs, each pair
 // one run of a base build and one of a head build taken back to back. On a
@@ -19,7 +24,7 @@ var PairMetrics = []string{"ns/op", "cpu-ns/op", "B/op", "allocs/op"}
 type PairStat struct {
 	Name   string
 	Metric string
-	// Pairs counts the pairs in which both runs reported the metric.
+	// Pairs counts the pairs in which both sides ran the benchmark.
 	Pairs int
 	// Median is the median of the per-pair head/base ratios.
 	Median float64
@@ -31,20 +36,43 @@ type PairStat struct {
 	BaseIQR float64
 }
 
-// metricValue returns r's reading of metric and whether it has one.
-func metricValue(r Result, metric string) (float64, bool) {
-	var v float64
+// Bound returns the largest median ratio s may show and still pass the
+// gate: 1+tolerance on ns/op, MemBound on the memory columns.
+func (s PairStat) Bound(tolerance float64) float64 {
+	if s.Metric == "ns/op" {
+		return 1 + tolerance
+	}
+	return MemBound
+}
+
+// Fails reports whether s's median head/base ratio exceeds its bound.
+func (s PairStat) Fails(tolerance float64) bool {
+	return s.Median > s.Bound(tolerance)
+}
+
+// metricValue returns r's reading of metric, one of PairMetrics.
+func metricValue(r Result, metric string) float64 {
 	switch metric {
 	case "ns/op":
-		v = r.NsPerOp
+		return r.NsPerOp
 	case "B/op":
-		v = r.BytesPerOp
-	case "allocs/op":
-		v = r.AllocsPerOp
+		return r.BytesPerOp
 	default:
-		v = r.Metrics[metric]
+		return r.AllocsPerOp
 	}
-	return v, v > 0
+}
+
+// pairRatio is head/base for one pair: two zeros tie, and a rise from zero
+// reads +Inf.
+func pairRatio(base, head float64) float64 {
+	switch {
+	case base > 0:
+		return head / base
+	case head > 0:
+		return math.Inf(1)
+	default:
+		return 1
+	}
 }
 
 // quantile returns the q-quantile of sorted values, interpolating linearly
@@ -58,15 +86,36 @@ func quantile(sorted []float64, q float64) float64 {
 	if i+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
+	// The early return keeps an +Inf ratio from turning 0*Inf into NaN.
+	frac := pos - float64(i)
+	if frac == 0 || sorted[i] == sorted[i+1] {
+		return sorted[i]
+	}
+	return sorted[i] + frac*(sorted[i+1]-sorted[i])
 }
 
 // Pairs compares paired runs: base[i] and head[i] are the parsed outputs of
-// pair i. It returns one PairStat per benchmark and metric that both sides
-// reported in at least one pair, sorted by benchmark name and then in
-// PairMetrics order.
+// pair i. It returns one PairStat per benchmark and metric that some run of
+// the benchmark read above zero, over the pairs in which both sides ran it,
+// sorted by benchmark name and then in PairMetrics order. Once a metric is
+// above zero anywhere, its zeros count as readings: -benchmem prints 0 B/op
+// for a run that allocated nothing, and a zero-allocation benchmark reads a
+// few bytes per op in the odd run whose sync.Pool a GC emptied; counting
+// the zeros keeps those odd runs from being the whole sample.
 func Pairs(base, head [][]Result) []PairStat {
 	type key struct{ name, metric string }
+	read := make(map[key]bool)
+	for _, side := range [][][]Result{base, head} {
+		for _, run := range side {
+			for _, r := range run {
+				for _, m := range PairMetrics {
+					if metricValue(r, m) > 0 {
+						read[key{r.Name, m}] = true
+					}
+				}
+			}
+		}
+	}
 	ratios := make(map[key][]float64)
 	bases := make(map[key][]float64)
 	n := min(len(base), len(head))
@@ -81,13 +130,12 @@ func Pairs(base, head [][]Result) []PairStat {
 				continue
 			}
 			for _, m := range PairMetrics {
-				bv, okB := metricValue(b, m)
-				hv, okH := metricValue(h, m)
-				if !okB || !okH {
+				k := key{b.Name, m}
+				if !read[k] {
 					continue
 				}
-				k := key{b.Name, m}
-				ratios[k] = append(ratios[k], hv/bv)
+				bv := metricValue(b, m)
+				ratios[k] = append(ratios[k], pairRatio(bv, metricValue(h, m)))
 				bases[k] = append(bases[k], bv)
 			}
 		}
@@ -122,17 +170,47 @@ func Pairs(base, head [][]Result) []PairStat {
 	return out
 }
 
+// Unpaired lists, sorted, the benchmarks that ran on one side only, each
+// followed by the side it ran on. They have no ratio to gate.
+func Unpaired(base, head [][]Result) []string {
+	sides := make(map[string]string)
+	for side, runs := range map[string][][]Result{"base": base, "head": head} {
+		for _, run := range runs {
+			for _, r := range run {
+				if s, ok := sides[r.Name]; ok && s != side {
+					sides[r.Name] = "both"
+				} else {
+					sides[r.Name] = side
+				}
+			}
+		}
+	}
+	var out []string
+	for name, side := range sides {
+		if side != "both" {
+			out = append(out, name+" ("+side+" only)")
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // WritePairs renders the paired comparison as an aligned table: per
-// benchmark and metric, the median head/base ratio, how many pairs the
-// head won, and the base runs' relative IQR.
-func WritePairs(w io.Writer, stats []PairStat) {
+// benchmark and metric, the median head/base ratio, the bound it is gated
+// at, how many pairs the head won, the base runs' relative IQR and the
+// verdict.
+func WritePairs(w io.Writer, stats []PairStat, tolerance float64) {
 	width := len("benchmark")
 	for _, s := range stats {
 		width = max(width, len(s.Name))
 	}
-	fmt.Fprintf(w, "%-*s %-10s %12s %8s %9s\n", width, "benchmark", "metric", "median h/b", "better", "base IQR")
+	fmt.Fprintf(w, "%-*s %-10s %12s %7s %8s %9s  %s\n", width, "benchmark", "metric", "median h/b", "bound", "better", "base IQR", "verdict")
 	for _, s := range stats {
-		fmt.Fprintf(w, "%-*s %-10s %12.3f %8s %8.1f%%\n", width, s.Name, s.Metric, s.Median,
-			fmt.Sprintf("%d/%d", s.Better, s.Pairs), 100*s.BaseIQR)
+		verdict := "ok"
+		if s.Fails(tolerance) {
+			verdict = "FAIL"
+		}
+		fmt.Fprintf(w, "%-*s %-10s %12.3f %7.3f %8s %8.1f%%  %s\n", width, s.Name, s.Metric, s.Median,
+			s.Bound(tolerance), fmt.Sprintf("%d/%d", s.Better, s.Pairs), 100*s.BaseIQR, verdict)
 	}
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/features"
@@ -18,40 +16,18 @@ import (
 // goes (cmd/benchreg picks up the files/sec metric per stage). Later stages
 // precompute everything upstream outside the timed loop.
 
-// resetStageTimer resets b's timer and returns the process CPU time at that
-// instant, for reportFilesPerSec.
-func resetStageTimer(b *testing.B) time.Duration {
-	b.ResetTimer()
-	return processCPU(b)
-}
-
 // reportFilesPerSec attributes the batch size to the elapsed time so each
-// stage's throughput lands in the baseline alongside ns/op. It also reports
-// cpu-ns/op: the CPU time the whole process (GC workers included) spent
-// per op since cpu0. CPU time does not grow while a shared host runs other
-// work instead of this process, so runs compare on it when their
-// wall-clock ns/op spread with the host's load.
-func reportFilesPerSec(b *testing.B, files int, cpu0 time.Duration) {
+// stage's throughput lands in the baseline alongside ns/op.
+func reportFilesPerSec(b *testing.B, files int) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(files)*float64(b.N)/s, "files/sec")
 	}
-	b.ReportMetric(float64(processCPU(b)-cpu0)/float64(b.N), "cpu-ns/op")
-}
-
-// processCPU returns the user plus system CPU time of the process, read
-// with getrusage(RUSAGE_SELF).
-func processCPU(b *testing.B) time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		b.Fatalf("getrusage: %v", err)
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func BenchmarkStageLex(b *testing.B) {
 	inputs := benchScanInputs(b)
 	b.SetBytes(totalBytes(inputs))
-	cpu0 := resetStageTimer(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range inputs {
 			l := lexer.New(in.Source)
@@ -66,13 +42,13 @@ func BenchmarkStageLex(b *testing.B) {
 			}
 		}
 	}
-	reportFilesPerSec(b, len(inputs), cpu0)
+	reportFilesPerSec(b, len(inputs))
 }
 
 func BenchmarkStageParse(b *testing.B) {
 	inputs := benchScanInputs(b)
 	b.SetBytes(totalBytes(inputs))
-	cpu0 := resetStageTimer(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range inputs {
 			// ParseNoTokens is what the scanner runs; token-collecting
@@ -82,7 +58,7 @@ func BenchmarkStageParse(b *testing.B) {
 			}
 		}
 	}
-	reportFilesPerSec(b, len(inputs), cpu0)
+	reportFilesPerSec(b, len(inputs))
 }
 
 // parsedBatch parses the benchmark inputs once, outside the timed loop.
@@ -118,11 +94,11 @@ func BenchmarkStageFlow(b *testing.B) {
 	// spread over b.N.
 	build()
 	b.SetBytes(totalBytes(inputs))
-	cpu0 := resetStageTimer(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		build()
 	}
-	reportFilesPerSec(b, len(inputs), cpu0)
+	reportFilesPerSec(b, len(inputs))
 }
 
 func BenchmarkStageRules(b *testing.B) {
@@ -132,13 +108,13 @@ func BenchmarkStageRules(b *testing.B) {
 		graphs[i] = flow.NewSession().Build(res.Program)
 	}
 	b.SetBytes(totalBytes(inputs))
-	cpu0 := resetStageTimer(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, res := range results {
 			analysis.AnalyzeParsed(inputs[j].Source, res, graphs[j])
 		}
 	}
-	reportFilesPerSec(b, len(inputs), cpu0)
+	reportFilesPerSec(b, len(inputs))
 }
 
 func BenchmarkStageFeatures(b *testing.B) {
@@ -151,7 +127,7 @@ func BenchmarkStageFeatures(b *testing.B) {
 	}
 	ex := features.NewExtractor(features.Options{NGramDims: 1024})
 	b.SetBytes(totalBytes(inputs))
-	cpu0 := resetStageTimer(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, res := range results {
 			if v := ex.ExtractFull(inputs[j].Source, res, graphs[j], diags[j]); len(v) == 0 {
@@ -159,7 +135,7 @@ func BenchmarkStageFeatures(b *testing.B) {
 			}
 		}
 	}
-	reportFilesPerSec(b, len(inputs), cpu0)
+	reportFilesPerSec(b, len(inputs))
 }
 
 // deepChain builds a classifier chain of full binary trees so the inference
@@ -204,7 +180,7 @@ func BenchmarkStageInference(b *testing.B) {
 	// Paper-scale shape: the level-2 chain with 25-tree forests of depth 8.
 	model := deepChain(Level2Labels(), 25, 8, dims)
 	b.SetBytes(totalBytes(inputs))
-	cpu0 := resetStageTimer(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, v := range vectors {
 			if probs := model.PredictProbs(v); len(probs) == 0 {
@@ -212,5 +188,5 @@ func BenchmarkStageInference(b *testing.B) {
 			}
 		}
 	}
-	reportFilesPerSec(b, len(inputs), cpu0)
+	reportFilesPerSec(b, len(inputs))
 }

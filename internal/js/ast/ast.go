@@ -616,6 +616,3 @@ func NewNumber(v float64) *Literal {
 func NewBool(v bool) *Literal {
 	return &Literal{Kind: LiteralBoolean, Bool: v}
 }
-
-// NewNull builds a null Literal with no span, for synthesized code.
-func NewNull() *Literal { return &Literal{Kind: LiteralNull} }

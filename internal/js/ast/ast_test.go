@@ -148,9 +148,6 @@ func TestLiteralConstructors(t *testing.T) {
 	if NewBool(true).Kind != LiteralBoolean || !NewBool(true).Bool {
 		t.Fatal("NewBool kind")
 	}
-	if NewNull().Kind != LiteralNull {
-		t.Fatal("NewNull kind")
-	}
 }
 
 func TestRangeAccessors(t *testing.T) {

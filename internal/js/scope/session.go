@@ -72,8 +72,8 @@ type analyzer struct {
 	refStore    []*ast.Identifier
 	unresolved  []*ast.Identifier
 	bindings    []*Binding
-	scopes      scopeSlab
-	bindingSlab bindingSlab
+	scopes      slab[Scope]
+	bindingSlab slab[Binding]
 	stamper     *ast.IDStamper
 
 	// Walk state.
@@ -124,8 +124,8 @@ func (a *analyzer) reset(n int) {
 	a.unresolved = a.unresolved[:0]
 	a.bindings = a.bindings[:0]
 	a.control = 0
-	a.scopes.reset()
-	a.bindingSlab.reset()
+	a.scopes.reset(clearScopes)
+	a.bindingSlab.reset(clearBindings)
 }
 
 // newScope allocates a scope from the slab.
@@ -253,101 +253,74 @@ func (a *analyzer) finalizeRefs() {
 
 // Slab chunk sizing for the scope/binding slabs: like the AST arena, chunks
 // double from slabChunkMin up to slabChunkMax and are never moved — alloc
-// hands out interior pointers, so a filled chunk is kept and a fresh one
-// appended.
+// hands out interior pointers, so a filled chunk is kept and the next one
+// filled.
 const (
 	slabChunkMin = 64
 	slabChunkMax = 1024
 )
 
-// scopeSlab is a chunked allocator of Scope values. reset recycles every
-// chunk in place, preserving each scope's Children/bindings capacity and
-// its (cleared) byName map, so steady-state analysis allocates no scope
-// storage at all.
-type scopeSlab struct {
-	chunks [][]Scope
+// slab is a chunked allocator of T values. alloc fills chunks in order from
+// the cursor, and reset rewinds the cursor to chunk 0, so a session keeps
+// the chunks its largest program needed rather than the sum of every
+// program's.
+type slab[T any] struct {
+	chunks [][]T
+	cur    int // the chunk alloc fills
 }
 
 //jslint:hotpath
-func (s *scopeSlab) alloc() *Scope {
-	n := len(s.chunks)
-	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
-		s.grow()
-		n = len(s.chunks)
+func (s *slab[T]) alloc() *T {
+	if s.cur < len(s.chunks) && len(s.chunks[s.cur]) == cap(s.chunks[s.cur]) {
+		s.cur++
 	}
-	c := s.chunks[n-1]
+	if s.cur == len(s.chunks) {
+		s.grow()
+	}
+	c := s.chunks[s.cur]
 	c = c[:len(c)+1]
-	s.chunks[n-1] = c
+	s.chunks[s.cur] = c
 	return &c[len(c)-1]
 }
 
-func (s *scopeSlab) grow() {
+func (s *slab[T]) grow() {
 	capNext := slabChunkMin
 	if n := len(s.chunks); n > 0 {
-		capNext = 2 * cap(s.chunks[n-1])
-		if capNext > slabChunkMax {
-			capNext = slabChunkMax
-		}
+		capNext = min(2*cap(s.chunks[n-1]), slabChunkMax)
 	}
-	s.chunks = append(s.chunks, make([]Scope, 0, capNext))
+	s.chunks = append(s.chunks, make([]T, 0, capNext))
 }
 
-// reset recycles every used scope. Fields that pin per-file memory (AST
+// reset hands each chunk the last run used to clearChunk, which must drop
+// every pointer into that run's tree, empties it and rewinds the cursor.
+// Chunks past the cursor are already empty.
+func (s *slab[T]) reset(clearChunk func([]T)) {
+	for i := 0; i < len(s.chunks) && i <= s.cur; i++ {
+		clearChunk(s.chunks[i])
+		s.chunks[i] = s.chunks[i][:0]
+	}
+	s.cur = 0
+}
+
+// clearScopes recycles used scopes. Fields that pin per-file memory (AST
 // nodes via Node, the parent/child web, binding pointers, map keys) are
-// cleared; slice capacities and map buckets are retained for reuse.
-func (s *scopeSlab) reset() {
-	for ci := range s.chunks {
-		c := s.chunks[ci]
-		for i := range c {
-			sc := &c[i]
-			sc.Node = nil
-			sc.Parent = nil
-			sc.Children = sc.Children[:0]
-			sc.IsFunction = false
-			sc.bindings = sc.bindings[:0]
-			if sc.byName != nil {
-				clear(sc.byName)
-			}
-		}
-		s.chunks[ci] = c[:0]
-	}
-}
-
-// bindingSlab is a chunked allocator of Binding values; alloc returns
-// zeroed bindings (reset zeroes in bulk, and Binding retains no reusable
-// capacity worth preserving — Refs alias the shared ref store).
-type bindingSlab struct {
-	chunks [][]Binding
-}
-
-//jslint:hotpath
-func (s *bindingSlab) alloc() *Binding {
-	n := len(s.chunks)
-	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
-		s.grow()
-		n = len(s.chunks)
-	}
-	c := s.chunks[n-1]
-	c = c[:len(c)+1]
-	s.chunks[n-1] = c
-	return &c[len(c)-1]
-}
-
-func (s *bindingSlab) grow() {
-	capNext := slabChunkMin
-	if n := len(s.chunks); n > 0 {
-		capNext = 2 * cap(s.chunks[n-1])
-		if capNext > slabChunkMax {
-			capNext = slabChunkMax
+// cleared; slice capacities and map buckets are retained for reuse, so
+// steady-state analysis allocates no scope storage at all.
+func clearScopes(c []Scope) {
+	for i := range c {
+		sc := &c[i]
+		sc.Node = nil
+		sc.Parent = nil
+		sc.Children = sc.Children[:0]
+		sc.IsFunction = false
+		sc.bindings = sc.bindings[:0]
+		if sc.byName != nil {
+			clear(sc.byName)
 		}
 	}
-	s.chunks = append(s.chunks, make([]Binding, 0, capNext))
 }
 
-func (s *bindingSlab) reset() {
-	for ci := range s.chunks {
-		c := s.chunks[ci]
-		clear(c)
-		s.chunks[ci] = c[:0]
-	}
-}
+// clearBindings zeroes used bindings in bulk, so alloc returns zeroed ones:
+// Binding retains no reusable capacity worth preserving (Refs alias the
+// shared ref store).
+func clearBindings(c []Binding) { clear(c) }

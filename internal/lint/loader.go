@@ -83,9 +83,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleDir returns the module root directory.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
-
 // ModulePath returns the module's import path prefix.
 func (l *Loader) ModulePath() string { return l.modulePath }
 

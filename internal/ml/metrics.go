@@ -92,20 +92,6 @@ func WrongMissing(pred []int, truth []bool) (wrong, missing int) {
 	return wrong, missing
 }
 
-// BinaryAccuracy is the fraction of correct boolean predictions.
-func BinaryAccuracy(pred, truth []bool) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range pred {
-		if pred[i] == truth[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred))
-}
-
 // Confusion is a binary confusion matrix. The zero value is an empty matrix;
 // every derived metric on it is defined (0, never NaN), so degenerate
 // evaluation splits — single-class truth, all-negative predictions — report
@@ -126,20 +112,6 @@ func (c *Confusion) Observe(pred, truth bool) {
 	default:
 		c.TN++
 	}
-}
-
-// ConfusionFrom builds a confusion matrix from parallel prediction and truth
-// vectors; extra entries in the longer vector are ignored.
-func ConfusionFrom(pred, truth []bool) Confusion {
-	n := len(pred)
-	if len(truth) < n {
-		n = len(truth)
-	}
-	var c Confusion
-	for i := 0; i < n; i++ {
-		c.Observe(pred[i], truth[i])
-	}
-	return c
 }
 
 // Total is the number of observations in the matrix.

@@ -71,22 +71,16 @@ func TestConfusionEdgeCases(t *testing.T) {
 func TestConfusionObserveAndFrom(t *testing.T) {
 	pred := []bool{true, true, false, false, true}
 	truth := []bool{true, false, false, true, true}
-	c := ConfusionFrom(pred, truth)
+	var c Confusion
+	for i := range pred {
+		c.Observe(pred[i], truth[i])
+	}
 	want := Confusion{TP: 2, FP: 1, TN: 1, FN: 1}
 	if c != want {
-		t.Fatalf("ConfusionFrom = %+v, want %+v", c, want)
+		t.Fatalf("Observe tallies = %+v, want %+v", c, want)
 	}
 	if c.Total() != 5 {
 		t.Fatalf("Total = %d, want 5", c.Total())
-	}
-
-	// Mismatched lengths must not panic; extra entries are ignored.
-	c2 := ConfusionFrom([]bool{true, true, true}, []bool{true})
-	if c2.Total() != 1 || c2.TP != 1 {
-		t.Fatalf("ConfusionFrom mismatched lengths = %+v", c2)
-	}
-	if got := ConfusionFrom(nil, nil); got.Total() != 0 {
-		t.Fatalf("ConfusionFrom(nil, nil) = %+v", got)
 	}
 }
 
@@ -158,12 +152,6 @@ func TestWrongMissingEdgeCases(t *testing.T) {
 	wrong, missing = WrongMissing(nil, nil)
 	if wrong != 0 || missing != 0 {
 		t.Fatalf("all-empty = (%d, %d), want (0, 0)", wrong, missing)
-	}
-}
-
-func TestBinaryAccuracyEmpty(t *testing.T) {
-	if v := BinaryAccuracy(nil, nil); v != 0 || math.IsNaN(v) {
-		t.Fatalf("BinaryAccuracy(nil, nil) = %v, want 0", v)
 	}
 }
 

@@ -10,7 +10,8 @@
 # Knobs:
 #   FUZZTIME=2s   shorten (or lengthen) the differential fuzz step; CI's PR
 #                 gate uses a short burst, the default 10s is for pre-merge.
-#   BENCH=1       also run the benchmark-regression gate (scripts/bench.sh).
+#   BENCH=1       also run the perf gate: paired A/B runs of the working tree
+#                 against HEAD (scripts/bench.sh -ab).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -130,7 +131,7 @@ check_floor ./internal/js/scope  75
 # pooled/zero-alloc paths and the dedup cache from shedding tests.
 check_floor ./internal/features  85
 check_floor ./internal/core      80
-# The observability layer and the benchmark-diff parser the regression gate
+# The observability layer and the benchmark parser the perf gate
 # trusts: both are plumbing other gates depend on, so they get floors too.
 check_floor ./internal/obs       75
 check_floor ./internal/benchfmt  75
@@ -152,43 +153,23 @@ echo "$cov_out" | awk '
     /^ok/ { cov = "-"; for (i=1; i<=NF; i++) if ($i ~ /%$/) cov = $i
             printf "%-40s %8s\n", $2, cov }'
 
-# Benchmark-regression gate, opt-in via BENCH=1: compares a fresh run of the
-# hot-path benchmarks against the last checked-in BENCH_<n>.json and fails
-# on a >15% ns/op or >10% allocs/op / B/op regression. Off by default —
-# benchmark noise on shared CI
-# machines makes it a poor always-on gate; run it when touching the scan
-# pipeline. See scripts/bench.sh.
+# Perf gate, opt-in via BENCH=1: paired A/B runs of the working tree against
+# HEAD, so host drift between minutes cancels out of each pair's ratio. It
+# fails when a benchmark's median head/base ratio exceeds 1+TOLERANCE on
+# ns/op or 1.10 on allocs/op and B/op. Off by default: each run builds both
+# sides and runs them twenty times, so run it when touching the scan pipeline.
+# See scripts/bench.sh.
 if [ "${BENCH:-0}" = "1" ]; then
-    echo "== benchmark regression gate =="
-    ./scripts/bench.sh
-    # The arena parse path and the 12-byte node header (a byte range plus
-    # the NodeID; lines and columns come from ast.Lines only for reported
-    # diagnostics) are the hard-won parse savings, so StageParse gets a
-    # tighter gate than the fleet-wide ±15%: time, allocs and B/op all at
-    # ±10% against the checked-in baseline, which holds B/op near 29 MB/op
-    # (it was 51.5 while every node carried a 48-byte line/column span). A
-    # single benchmark is cheap, so fold min-of-8 — the shared host drifts
-    # ±10-15% between multi-minute windows, and a deeper fold is the only
-    # way a ±10% timing gate stays signal rather than coin flip.
-    echo "== benchmark regression gate (StageParse, ±10%) =="
-    BENCH_PATTERN='BenchmarkStageParse$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
-    # The fused scope/flow plane gets the same focused treatment: the dense
-    # NodeID rewrite bought the stage its speedup, and a ±10% time+allocs
-    # gate on StageFlow is what keeps a stray allocation in the fused walk
-    # or a pool-discipline slip from quietly eating it back.
-    echo "== benchmark regression gate (StageFlow, ±10%) =="
-    BENCH_PATTERN='BenchmarkStageFlow$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
-    # The n-gram window memo made StageFeatures ~2.5x faster; the same
-    # ±10% time+allocs gate keeps a slower hash path or a heap-escaping
-    # memo from eating it back.
-    echo "== benchmark regression gate (StageFeatures, ±10%) =="
-    BENCH_PATTERN='BenchmarkStageFeatures$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
-    # The multi-pass triage.Compute runs about twice as fast as its
-    # byte-at-a-time reference (BenchmarkComputeReference, same mix) at zero
-    # allocations; the same ±10% gate keeps a slower pass or a scratch
-    # buffer that escapes the pool from eating that back.
-    echo "== benchmark regression gate (triage Compute, ±10%) =="
-    BENCH_PATTERN='BenchmarkCompute$' TOLERANCE=0.10 BENCH_COUNT=8 ./scripts/bench.sh
+    echo "== perf gate (hot path, ±15%) =="
+    ./scripts/bench.sh -ab HEAD
+    # The hard-won stage savings get the tighter ±10%: the arena parse path
+    # and 12-byte node header (parse is ~2/3 of the stage sum), the fused
+    # dense-NodeID scope/flow walk, the n-gram window memo behind
+    # StageFeatures, and the multi-pass triage.Compute that runs ~2x its
+    # byte-at-a-time reference at zero allocations.
+    echo "== perf gate (StageParse, StageFlow, StageFeatures, triage Compute, ±10%) =="
+    BENCH_PATTERN='BenchmarkStage(Parse|Flow|Features)$|BenchmarkCompute$' TOLERANCE=0.10 \
+        ./scripts/bench.sh -ab HEAD
 fi
 
 echo "OK"
